@@ -70,17 +70,19 @@ bench-incr-check:
 bench-backend:
 	PYTHONPATH=src python tools/bench_backend.py -o BENCH_backend_current.json
 
-# The PR-10 machine-independent floor on a fresh run: compact must
-# stay >= 3x faster than reference on the interference and coloring
-# phases of the n=2048 block (same run, interleaved timing).
-# --skip-cfg keeps CI off the liveness scaling rows, which carry no
-# floor.
+# The machine-independent floors on a fresh run (same run, interleaved
+# timing): compact must stay >= 3x faster than reference on the
+# interference and coloring phases of the n=2048 block (PR 10), and
+# the worklist pinter_color >= 5x faster than its frozen oracle on the
+# n=128 block (BENCH_pr14.json).  --skip-cfg keeps CI off the liveness
+# scaling rows, which carry no floor.
 bench-backend-check:
 	PYTHONPATH=src python tools/bench_backend.py --skip-cfg --check \
 		-o BENCH_backend_current.json
 	PYTHONPATH=src python tools/bench_compare.py none BENCH_backend_current.json \
 		--ratio-max backend-n2048:interference_compact/interference_reference=0.3334 \
-		--ratio-max backend-n2048:color_compact/color_reference=0.3334
+		--ratio-max backend-n2048:color_compact/color_reference=0.3334 \
+		--ratio-max pinter-n128:color_pinter/color_pinter_oracle=0.2
 
 # Load-generate the HTTP compilation service (latency, coalescing,
 # typed sheds, zero-loss SIGTERM drain) and enforce the robustness
@@ -192,5 +194,5 @@ clean:
 	rm -rf .pytest_cache .hypothesis *.egg-info src/*.egg-info
 	rm -f BENCH_current.json BENCH_obs_off.json BENCH_obs_on.json
 	rm -f BENCH_batch_current.json BENCH_pig_current.json
-	rm -f BENCH_serve_current.json
+	rm -f BENCH_serve_current.json BENCH_backend_current.json
 	rm -rf .ledger-check

@@ -154,7 +154,9 @@ class PinterAllocator:
         num_registers: r; defaults to ``machine.num_registers``.
         preschedule: Run the EP reordering pass first (paper default).
         weight_config: Edge prices for ``h*``.
-        edge_policy: False-edge sacrifice policy (``"node"``/``"global"``).
+        edge_policy: False-edge sacrifice policy (``"node"``,
+            ``"global"`` or ``"lazy"``; see
+            :func:`repro.core.coloring.pinter_color`).
         use_regions: Build false-dependence graphs over scheduling
             regions (global form) instead of single blocks.
         max_spill_rounds: Safety bound on spill-and-repeat iterations.

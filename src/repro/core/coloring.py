@@ -18,21 +18,35 @@ Structure, following the pseudo-code:
 4. **Select** — color in reverse deletion order on the (edge-reduced)
    graph; if the spill list is non-empty the caller inserts spill code
    and repeats the whole procedure.
+
+The procedure runs on worklists over dense web positions (webs sorted
+by ``Web.index``) instead of rescanning the graph.  Two invariants make
+that exact:
+
+* **Degrees only fall.**  Nodes and false-only edges are removed, never
+  added, so "degree < r" and "interference degree < r" hold for good
+  once true.  A node enters the simplify worklist, or the min-heap of
+  sacrificial candidates, once — at the moment its count drops below r.
+* **The two-heap sweep is the index-order sweep.**  Simplify deletes, in
+  index order, every node whose degree is below r, and starts another
+  pass while the last one deleted anything.  The worklist keeps the
+  current pass's cursor and two min-heaps: a node that becomes
+  simplifiable past the cursor joins ``cur`` (this pass reaches it), one
+  at or before the cursor joins ``nxt`` (the next pass does).  Popping
+  ``cur`` until it drains, then swapping in ``nxt``, deletes the same
+  nodes in the same order as the repeated sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, List, Literal, Optional, Tuple
 
 import networkx as nx
 
 from repro.analysis.webs import Web
-from repro.core.edge_weights import (
-    DEFAULT_CONFIG,
-    EdgeWeightConfig,
-    h_star_metric,
-)
+from repro.core.edge_weights import DEFAULT_CONFIG, EdgeWeightConfig
 from repro.core.parallel_interference import (
     EdgeOrigin,
     ParallelInterferenceGraph,
@@ -43,6 +57,14 @@ from repro.utils.errors import AllocationError
 from repro.utils.faults import trip
 
 EdgePolicy = Literal["node", "global", "lazy"]
+
+#: Worklist steps (node deletions, edge sacrifices, spill picks and
+#: colored nodes) between two polls of ``check_deadline``; the first
+#: step polls too, so an expired budget stops even a tiny graph.
+DEADLINE_STRIDE = 64
+
+_FALSE = EdgeOrigin.FALSE.value
+_BOTH = EdgeOrigin.BOTH.value
 
 
 @dataclass
@@ -57,6 +79,8 @@ class PinterColoringResult:
             removal order — each entry is a (web, web) pair.
         reduced_graph: The output graph after false-edge removals (the
             graph the selection phase colored against).
+            :func:`pinter_color` returns a read-only view of the PIG
+            that hides ``removed_false_edges``.
     """
 
     coloring: Dict[Web, int]
@@ -78,14 +102,6 @@ class PinterColoringResult:
         return len(self.removed_false_edges)
 
 
-def _false_only_edges_at(graph: nx.Graph, node: Web) -> List[Tuple[Web, Web]]:
-    return [
-        (node, nbr)
-        for nbr in sorted(graph.neighbors(node), key=lambda w: w.index)
-        if graph.edges[node, nbr]["origin"] == EdgeOrigin.FALSE
-    ]
-
-
 def pinter_color(
     pig: ParallelInterferenceGraph,
     num_registers: int,
@@ -95,15 +111,18 @@ def pinter_color(
     value_model: Optional[SchedulingValueModel] = None,
     optimistic: bool = False,
     bias: Optional[Dict[Web, List[Web]]] = None,
+    check_deadline: Optional[Callable[[], None]] = None,
 ) -> PinterColoringResult:
     """Run the combined coloring procedure.
 
     Args:
-        pig: The parallelizable interference graph (not mutated; the
-            procedure works on copies).
+        pig: The parallelizable interference graph (not mutated).
         num_registers: r, the machine's register count.
         cost: Spill cost per web; defaults to uniform cost 1.
-        weight_config: Edge prices for the h* denominator.
+        weight_config: Edge prices for the h* denominator.  h* is
+            computed from per-class edge counts, which equals the
+            per-edge sum exactly for integer prices (the shipped
+            configs).
         edge_policy: How to pick the sacrificed false edge — ``"node"``
             removes the least-valuable false edge at a node that would
             become simplifiable ("with respect to a selected node");
@@ -113,7 +132,8 @@ def pinter_color(
             a node that finds no color at selection time falls back to
             interference-only constraints, sacrificing exactly the
             false edges its color then violates.
-        value_model: Precomputed scheduling values (built on demand).
+        value_model: Precomputed scheduling values (built on the first
+            sacrifice when omitted).
         optimistic: Briggs-style optimism — push the h*-chosen victim
             on the selection stack and spill only nodes that actually
             find no color.  The PIG's false edges make it much denser
@@ -124,6 +144,10 @@ def pinter_color(
             several colors are legal, a partner's color is preferred so
             the mov becomes an identity move.  Never affects
             colorability (see :mod:`repro.regalloc.coalesce`).
+        check_deadline: Optional callback polled every
+            :data:`DEADLINE_STRIDE` worklist steps; it raises
+            (typically :class:`~repro.utils.errors.BudgetExceededError`)
+            to preempt a compile whose budget ran out mid-phase.
 
     Returns:
         A :class:`PinterColoringResult`.  When ``spilled`` is non-empty
@@ -133,154 +157,237 @@ def pinter_color(
     trip("core.pinter_color")
     if cost is None:
         cost = lambda _web: 1.0  # noqa: E731 - simple default
-    if value_model is None:
-        value_model = SchedulingValueModel.build(pig)
+    graph = pig.graph
+    r = num_registers
+    lazy = edge_policy == "lazy"
 
-    # The output graph: false-edge removals apply here and to the
-    # working copy; selection colors against this graph.
-    reduced = pig.graph.copy()
-    work = pig.graph.copy()
-    stack: List[Web] = []
-    spilled: List[Web] = []
+    # Dense positions in Web.index order: every index-ordered scan of
+    # the procedure becomes position order, and the state below lives
+    # in lists instead of Web-keyed dicts.
+    webs = sorted(graph.nodes(), key=lambda w: w.index)
+    n = len(webs)
+    position = {web.index: p for p, web in enumerate(webs)}
+    # adj is the *reduced* graph (sacrificed edges are deleted from
+    # it); the working graph is adj restricted to alive nodes.  Each
+    # entry holds the edge's EdgeOrigin value.
+    adj: List[Dict[int, int]] = [{} for _ in range(n)]
+    for a, b, origin in graph.edges(data="origin"):
+        pa, pb = position[a.index], position[b.index]
+        adj[pa][pb] = adj[pb][pa] = origin.value
+    alive = [True] * n
+    live = n
+    # Per-node counts of alive edges: total degree, interference degree
+    # (E_r, shared edges included), false-only and shared edges.
+    deg = [len(row) for row in adj]
+    nfalse = [0] * n
+    nboth = [0] * n
+    for p, row in enumerate(adj):
+        for origin in row.values():
+            if origin == _FALSE:
+                nfalse[p] += 1
+            elif origin == _BOTH:
+                nboth[p] += 1
+    ideg = [deg[p] - nfalse[p] for p in range(n)]
+
+    stack: List[int] = []
+    spilled: List[int] = []
     removed: List[Tuple[Web, Web]] = []
-    simplified = 0
-    optimistic_pushes = 0
+    sacrificed_value = 0.0
+    simplified = sweeps = spill_picks = optimistic_pushes = 0
+    steps = 0
+    stride_mask = DEADLINE_STRIDE - 1
 
-    # h* is evaluated against the *current* working graph: in(v) is the
-    # live neighbor set at spill time.
-    reduced_pig = pig.copy()
-    reduced_pig.graph = work
-    metric = h_star_metric(reduced_pig, cost, weight_config)
+    def step() -> None:
+        nonlocal steps
+        if check_deadline is not None and not (steps & stride_mask):
+            check_deadline()
+        steps += 1
 
-    # Incremental degree bookkeeping: ideg counts edges carrying the
-    # INTERFERENCE flag, fdeg counts false-only edges; total degree is
-    # their sum.  Maintaining counters (instead of rescanning neighbor
-    # edge attributes) is what keeps large blocks tractable.
-    ideg: Dict[Web, int] = {node: 0 for node in work.nodes()}
-    fdeg: Dict[Web, int] = {node: 0 for node in work.nodes()}
-    for a, b, data in work.edges(data=True):
-        if data["origin"] & EdgeOrigin.INTERFERENCE:
-            ideg[a] += 1
-            ideg[b] += 1
-        else:
-            fdeg[a] += 1
-            fdeg[b] += 1
+    # Simplify worklist: cur holds simplifiable positions past the
+    # cursor of the current index-order pass, nxt those at or before it.
+    cur = [p for p in range(n) if deg[p] < r]
+    nxt: List[int] = []
+    cursor = -1
+    # Sacrificial candidates (interference degree < r), lazily pruned
+    # of dead positions; valid right after simplify, when every alive
+    # node has total degree >= r.
+    blocked = [p for p in range(n) if ideg[p] < r]
 
-    def remove_node(node: Web) -> None:
-        for nbr in work.neighbors(node):
-            if work.edges[node, nbr]["origin"] & EdgeOrigin.INTERFERENCE:
-                ideg[nbr] -= 1
-            else:
-                fdeg[nbr] -= 1
-        work.remove_node(node)
-        del ideg[node]
-        del fdeg[node]
+    def drop_degree(q: int) -> None:
+        d = deg[q] - 1
+        deg[q] = d
+        if d == r - 1:
+            heappush(cur if q > cursor else nxt, q)
 
-    # Sorted once: nodes are only ever removed, so every index-ordered
-    # scan below walks this list and skips dead entries (``node in
-    # ideg`` — the counters double as the alive set) instead of
-    # re-sorting the survivors on every pass.
-    ordered_nodes = sorted(work.nodes(), key=lambda w: w.index)
+    def remove_node(p: int) -> None:
+        nonlocal live
+        alive[p] = False
+        live -= 1
+        for q, origin in adj[p].items():
+            if not alive[q]:
+                continue
+            drop_degree(q)
+            if origin == _FALSE:
+                nfalse[q] -= 1
+                continue
+            if origin == _BOTH:
+                nboth[q] -= 1
+            i = ideg[q] - 1
+            ideg[q] = i
+            if i == r - 1:
+                heappush(blocked, q)
 
     def simplify() -> None:
-        nonlocal simplified
-        progress = True
-        while progress:
-            progress = False
-            for node in ordered_nodes:
-                if node not in ideg:
-                    continue
-                if ideg[node] + fdeg[node] < num_registers:
-                    stack.append(node)
-                    remove_node(node)
-                    simplified += 1
-                    progress = True
+        nonlocal cur, nxt, cursor, simplified, sweeps
+        while cur or nxt:
+            if not cur:
+                cur, nxt = nxt, cur
+                cursor = -1
+            sweeps += 1
+            while cur:
+                step()
+                p = heappop(cur)
+                cursor = p
+                stack.append(p)
+                remove_node(p)
+                simplified += 1
+        cursor = -1
 
-    def sacrificial_candidates() -> List[Web]:
-        """Nodes blocked only by false edges: interference degree < r
-        but total degree >= r."""
-        return [
-            node
-            for node in ordered_nodes
-            if node in ideg
-            and ideg[node] < num_registers <= ideg[node] + fdeg[node]
-        ]
+    def first_blocked() -> Optional[int]:
+        while blocked and not alive[blocked[0]]:
+            heappop(blocked)
+        return blocked[0] if blocked else None
 
-    def remove_one_false_edge() -> bool:
-        if edge_policy == "global":
-            candidates = [
-                (a, b)
-                for a, b, data in work.edges(data=True)
-                if data["origin"] == EdgeOrigin.FALSE
+    def sacrifice(pa: int, pb: int, value: float) -> None:
+        nonlocal sacrificed_value
+        step()
+        del adj[pa][pb], adj[pb][pa]
+        for p in (pa, pb):
+            nfalse[p] -= 1
+            drop_degree(p)
+        removed.append((webs[pa], webs[pb]))
+        sacrificed_value += value
+
+    def edge_value(a: Web, b: Web) -> float:
+        # The model is built on first use: a round that sacrifices no
+        # edge never pays for EP numbers and heights.
+        nonlocal value_model
+        if value_model is None:
+            value_model = SchedulingValueModel.build(pig)
+        return value_model.edge_value(a, b)
+
+    # Per-node lazy min-heaps of false-only edges keyed
+    # (edge_value, neighbour position), built on first use; entries go
+    # stale when the neighbour dies or the edge is sacrificed.
+    false_heaps: Dict[int, List[Tuple[float, int]]] = {}
+
+    def shed_at_first_blocked() -> bool:
+        p = first_blocked()
+        heap = false_heaps.get(p)
+        if heap is None:
+            web = webs[p]
+            heap = [
+                (edge_value(web, webs[q]), q)
+                for q, origin in adj[p].items()
+                if origin == _FALSE and alive[q]
             ]
-        else:
-            # "with respect to a selected node": pick the first blocked
-            # node and shed its least valuable false edge.
-            nodes = sacrificial_candidates()
-            candidates = []
-            if nodes:
-                candidates = _false_only_edges_at(work, nodes[0])
-        if not candidates:
-            return False
-        victim = min(
-            candidates,
-            key=lambda edge: (
-                value_model.edge_value(edge[0], edge[1]),
-                edge[0].index,
-                edge[1].index,
-            ),
-        )
-        work.remove_edge(*victim)
-        fdeg[victim[0]] -= 1
-        fdeg[victim[1]] -= 1
-        if reduced.has_edge(*victim):
-            reduced.remove_edge(*victim)
-        removed.append(victim)
-        return True
+            heapify(heap)
+            false_heaps[p] = heap
+        row = adj[p]
+        while heap:
+            value, q = heappop(heap)
+            if alive[q] and q in row:
+                sacrifice(p, q, value)
+                return True
+        return False
 
-    lazy = edge_policy == "lazy"
-    while work.number_of_nodes():
+    # One lazy min-heap of all false-only edges keyed
+    # (value, a.index, b.index), built on first use and oriented as
+    # networkx iterates the edges (the orientation is the tie-break).
+    global_heap: Optional[List[Tuple[float, int, int, int, int]]] = None
+
+    def shed_global_min() -> bool:
+        nonlocal global_heap
+        if global_heap is None:
+            global_heap = []
+            for a, b, origin in graph.edges(data="origin"):
+                pa, pb = position[a.index], position[b.index]
+                if alive[pa] and alive[pb] and adj[pa].get(pb) == _FALSE:
+                    global_heap.append(
+                        (edge_value(a, b), a.index, b.index, pa, pb)
+                    )
+            heapify(global_heap)
+        while global_heap:
+            value, _, _, pa, pb = heappop(global_heap)
+            if alive[pa] and alive[pb] and pb in adj[pa]:
+                sacrifice(pa, pb, value)
+                return True
+        return False
+
+    shed = shed_at_first_blocked
+    if edge_policy == "global":
+        shed = shed_global_min
+    w_interference = weight_config.interference_weight
+    w_false = weight_config.parallelism_weight
+    w_both = weight_config.shared_weight
+    costs: List[Optional[float]] = [None] * n
+    inf = float("inf")
+
+    while live:
         simplify()
-        if not work.number_of_nodes():
+        if not live:
             break
         if lazy:
             # Lazy mode: nodes whose pressure comes from false edges
             # are pushed optimistically; selection decides whether any
             # parallelism must actually be given up.
-            lazy_candidates = sacrificial_candidates()
-            if lazy_candidates:
-                node = lazy_candidates[0]
-                stack.append(node)
-                remove_node(node)
+            p = first_blocked()
+            if p is not None:
+                step()
+                stack.append(p)
+                remove_node(p)
                 optimistic_pushes += 1
                 continue
         else:
             # Second loop: relieve pressure that is due to false edges
             # only — a sacrificial candidate always owns a removable
             # false edge, so this loop is guaranteed to progress.
-            while work.number_of_nodes() and sacrificial_candidates():
-                if not remove_one_false_edge():
+            while live and first_blocked() is not None:
+                if not shed():
                     break
                 simplify()
-        if not work.number_of_nodes():
+        if not live:
             break
         # Every remaining node now has interference degree >= r: the
         # pressure is real, spill the node minimizing h*.  Nodes with
         # infinite metric (spill temporaries) are never victims —
         # re-spilling a one-statement range cannot reduce pressure.
-        candidates = [
-            node
-            for node in ordered_nodes
-            if node in ideg and metric(node) != float("inf")
-        ]
-        if not candidates:
+        step()
+        victim = None
+        best = inf
+        for p in range(n):
+            if not alive[p]:
+                continue
+            total = (
+                (ideg[p] - nboth[p]) * w_interference
+                + nfalse[p] * w_false
+                + nboth[p] * w_both
+            )
+            if total <= 0.0:
+                continue
+            spill_cost = costs[p]
+            if spill_cost is None:
+                spill_cost = costs[p] = cost(webs[p])
+            metric = spill_cost / total
+            if metric < best:
+                best = metric
+                victim = p
+        if victim is None:
             raise AllocationError(
                 "irreducible register pressure: {} values including "
-                "spill temporaries exceed r={}".format(
-                    work.number_of_nodes(), num_registers
-                )
+                "spill temporaries exceed r={}".format(live, r)
             )
-        victim = min(candidates, key=metric)
+        spill_picks += 1
         if optimistic or lazy:
             stack.append(victim)  # may still find a color at select time
             optimistic_pushes += 1
@@ -290,91 +397,70 @@ def pinter_color(
 
     from repro.regalloc.coalesce import choose_biased_color
 
-    if optimistic or lazy:
-        coloring = {}
-        for node in reversed(stack):
-            used = {
-                coloring[nbr]
-                for nbr in reduced.neighbors(node)
-                if nbr in coloring
+    # Select against the reduced adjacency.  Lazily sacrificed edges
+    # stay in adj: each one joins the node being colored to an earlier
+    # colored node, so no later node can see it.
+    colors: List[Optional[int]] = [None] * n
+    coloring: Dict[Web, int] = {}
+    for p in reversed(stack):
+        step()
+        row = adj[p]
+        used = {colors[q] for q in row if colors[q] is not None}
+        free = [c for c in range(r) if c not in used]
+        color = choose_biased_color(free, webs[p], coloring, bias)
+        if color is None and lazy:
+            # Fall back to interference-only constraints: give up
+            # exactly the false edges the chosen color violates.
+            hard = {
+                colors[q]
+                for q, origin in row.items()
+                if colors[q] is not None and origin != _FALSE
             }
-            free = [c for c in range(num_registers) if c not in used]
-            color = choose_biased_color(free, node, coloring, bias)
-            if color is None and lazy:
-                # Fall back to interference-only constraints: give up
-                # exactly the false edges the chosen color violates.
-                hard = {
-                    coloring[nbr]
-                    for nbr in reduced.neighbors(node)
-                    if nbr in coloring
-                    and reduced.edges[node, nbr]["origin"]
-                    & EdgeOrigin.INTERFERENCE
-                }
-                color = next(
-                    (c for c in range(num_registers) if c not in hard),
-                    None,
-                )
-                if color is not None:
-                    for nbr in sorted(
-                        reduced.neighbors(node), key=lambda w: w.index
-                    ):
-                        if (
-                            nbr in coloring
-                            and coloring[nbr] == color
-                            and reduced.edges[node, nbr]["origin"]
-                            == EdgeOrigin.FALSE
-                        ):
-                            removed.append(
-                                (node, nbr)
-                                if node.index <= nbr.index
-                                else (nbr, node)
-                            )
-            if color is None:
-                spilled.append(node)
-            else:
-                coloring[node] = color
-        for a, b in removed:
-            if reduced.has_edge(a, b):
-                reduced.remove_edge(a, b)
-    else:
-        colorable = reduced.subgraph(stack)
-        coloring = {}
-        for node in reversed(stack):
-            used = {
-                coloring[nbr]
-                for nbr in colorable.neighbors(node)
-                if nbr in coloring
-            }
-            free = [c for c in range(num_registers) if c not in used]
-            color = choose_biased_color(free, node, coloring, bias)
-            if color is None:
+            color = next((c for c in range(r) if c not in hard), None)
+            if color is not None:
+                for q in sorted(row):
+                    if colors[q] == color and row[q] == _FALSE:
+                        pair = (p, q) if p <= q else (q, p)
+                        a, b = webs[pair[0]], webs[pair[1]]
+                        removed.append((a, b))
+                        sacrificed_value += edge_value(a, b)
+        if color is None:
+            if not (optimistic or lazy):
                 raise AllocationError(
-                    "no free color for {} among {}".format(
-                        node, num_registers
-                    )
+                    "no free color for {} among {}".format(webs[p], r)
                 )
-            coloring[node] = color
+            spilled.append(p)
+        else:
+            colors[p] = color
+            coloring[webs[p]] = color
+
     tracer = get_tracer()
     metrics = get_metrics()
     tracer.event(
         "color.round",
-        nodes=pig.graph.number_of_nodes(),
+        nodes=n,
         simplified=simplified,
+        sweeps=sweeps,
         optimistic_pushes=optimistic_pushes,
+        spill_picks=spill_picks,
         spilled=len(spilled),
         false_edges_removed=len(removed),
+        sacrificed_value=sacrificed_value,
     )
     metrics.counter("color.rounds").inc()
     metrics.counter("color.simplified").inc(simplified)
+    metrics.counter("color.sweeps").inc(sweeps)
     metrics.counter("color.optimistic_pushes").inc(optimistic_pushes)
+    metrics.counter("color.spill_picks").inc(spill_picks)
     metrics.counter("color.spilled").inc(len(spilled))
     metrics.counter("color.false_edges_removed").inc(len(removed))
+    metrics.counter("color.sacrificed_value").inc(sacrificed_value)
     return PinterColoringResult(
         coloring=coloring,
-        spilled=spilled,
-        selection_order=list(stack),
+        spilled=[webs[p] for p in spilled],
+        selection_order=[webs[p] for p in stack],
         removed_false_edges=removed,
-        reduced_graph=reduced,
+        reduced_graph=nx.restricted_view(graph, (), removed),
     )
 
 

@@ -18,8 +18,8 @@ the procedure removes the edge of minimum value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.webs import Web
 from repro.core.parallel_interference import ParallelInterferenceGraph
@@ -59,6 +59,15 @@ class SchedulingValueModel:
     _ep: Dict[int, int]
     _height: Dict[int, float]
     _fdg_of: Dict[int, FalseDependenceGraph]
+    #: Memoized edge values, keyed by the web-index pair.
+    _edge_cache: Dict[Tuple[int, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: Per web index: its defining instructions by uid, each with the
+    #: false-dependence graph of its region.
+    _defs: Dict[
+        int, List[Tuple[Instruction, Optional[FalseDependenceGraph]]]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, pig: ParallelInterferenceGraph) -> "SchedulingValueModel":
@@ -86,22 +95,33 @@ class SchedulingValueModel:
         h_u, h_v = self._height.get(u.uid, 1.0), self._height.get(v.uid, 1.0)
         return (1.0 + max(h_u, h_v)) / (1.0 + abs(ep_u - ep_v))
 
+    def _sorted_definitions(
+        self, web: Web
+    ) -> List[Tuple[Instruction, Optional[FalseDependenceGraph]]]:
+        """*web*'s defining instructions by uid, built once per web."""
+        defs = self._defs.get(web.index)
+        if defs is None:
+            defs = [
+                (point.instruction, self._fdg_of.get(point.instruction.uid))
+                for point in sorted(
+                    web.definitions, key=lambda d: d.instruction.uid
+                )
+            ]
+            self._defs[web.index] = defs
+        return defs
+
     def _contributing_pairs(
         self, web_a: Web, web_b: Web
     ) -> List[Tuple[Instruction, Instruction]]:
         """Instruction pairs whose E_f membership created this web edge."""
         pairs = []
-        defs_a = sorted(web_a.definitions, key=lambda d: d.instruction.uid)
-        defs_b = sorted(web_b.definitions, key=lambda d: d.instruction.uid)
-        for point_a in defs_a:
-            fdg = self._fdg_of.get(point_a.instruction.uid)
+        defs_b = self._sorted_definitions(web_b)
+        for instr_a, fdg in self._sorted_definitions(web_a):
             if fdg is None:
                 continue
-            for point_b in defs_b:
-                if fdg.has_false_edge(point_a.instruction, point_b.instruction):
-                    pairs.append(
-                        ordered_pair(point_a.instruction, point_b.instruction)
-                    )
+            for instr_b, _ in defs_b:
+                if fdg.has_false_edge(instr_a, instr_b):
+                    pairs.append(ordered_pair(instr_a, instr_b))
         return pairs
 
     def edge_value(self, web_a: Web, web_b: Web) -> float:
@@ -114,10 +134,7 @@ class SchedulingValueModel:
         they are memoized — the coloring procedure queries the same
         edges many times.
         """
-        cache = getattr(self, "_edge_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_edge_cache", cache)
+        cache = self._edge_cache
         key = (
             (web_a.index, web_b.index)
             if web_a.index <= web_b.index

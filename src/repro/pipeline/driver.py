@@ -908,6 +908,7 @@ class CompilationDriver:
         original = work
         spill_ops = 0
         engine = self.config.engine
+        mid_phase = guard.mid_phase_checker()
         try:
             for _round in range(self.config.max_spill_rounds + 1):
                 pig, engine = self._build_pig(work, guard, report, engine)
@@ -916,7 +917,8 @@ class CompilationDriver:
                 result = guard.run(
                     "color",
                     lambda: pinter_color(
-                        pig, self.num_registers, cost=cost
+                        pig, self.num_registers, cost=cost,
+                        check_deadline=mid_phase,
                     ),
                     recoverable=True,
                 )
@@ -978,6 +980,7 @@ class CompilationDriver:
                     self.num_registers,
                     max_rounds=cfg.max_spill_rounds,
                     paranoid=cfg.paranoid,
+                    check_deadline=guard.mid_phase_checker(),
                 )
 
             try:

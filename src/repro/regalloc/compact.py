@@ -594,6 +594,7 @@ def compact_chaitin_allocate(
     num_registers: int,
     max_rounds: int = 12,
     paranoid: bool = False,
+    check_deadline: Optional[Callable[[], None]] = None,
 ):
     """Compact twin of the strategies' Chaitin spill-until-colorable
     loop: compact interference + worklist coloring, spill code between
@@ -603,6 +604,8 @@ def compact_chaitin_allocate(
     coloring against the reference path and raises
     :class:`~repro.utils.errors.DivergenceError` on any mismatch (the
     driver then degrades to the reference backend rung).
+    *check_deadline*, when given, is polled once per spill round and
+    raises to preempt a compile whose budget ran out.
 
     Returns ``(prepared_fn, assignment, spill_operations)``.
     """
@@ -613,6 +616,8 @@ def compact_chaitin_allocate(
     work = fn
     spill_ops = 0
     for _round in range(max_rounds + 1):
+        if check_deadline is not None:
+            check_deadline()
         compact = build_compact_interference(work)
         cost_fn = make_cost_function(work)
         cost = [cost_fn(web) for web in compact.webs]

@@ -3,13 +3,14 @@
 ``--time-budget`` used to be checked only at phase boundaries, so one
 long dependence build could blow far past the budget.  The driver now
 threads a ``check_deadline`` callback into the bitset kernel's closure
-loops; these tests pin the callback plumbing at every layer and the
-driver-level behavior (a budget exhausted mid-phase aborts with exit 1
-— it never degrades onto a ladder rung).
+loops and the coloring worklists; these tests pin the callback plumbing
+at every layer and the driver-level behavior (a budget exhausted
+mid-phase aborts with exit 1 — it never degrades onto a ladder rung).
 """
 
 import pytest
 
+from repro.core.coloring import DEADLINE_STRIDE, pinter_color
 from repro.core.parallel_interference import build_parallel_interference_graph
 from repro.deps import block_schedule_graph
 from repro.deps.bitset import DependenceBitKernel
@@ -22,7 +23,12 @@ from repro.pipeline.driver import (
 )
 from repro.utils import faults
 from repro.utils.errors import BudgetExceededError
-from repro.workloads import ALL_KERNELS, example1
+from repro.workloads import (
+    ALL_KERNELS,
+    RandomBlockConfig,
+    example1,
+    random_block,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -167,3 +173,47 @@ class TestDriverMidPhase:
         outcome = driver.compile_function(example1())
         assert outcome.ok
         assert outcome.report.status == "ok"
+
+
+class TestColoringCallback:
+    """pinter_color polls every DEADLINE_STRIDE worklist steps, the
+    first step included, and the driver hands it the guard's checker."""
+
+    def test_expired_callback_preempts_coloring(self, machine):
+        pig = build_parallel_interference_graph(example1(), machine)
+        with pytest.raises(BudgetExceededError):
+            pinter_color(pig, 2, check_deadline=_expired)
+
+    def test_callback_is_polled_at_the_stride(self, machine):
+        fn = random_block(RandomBlockConfig(size=64, seed=64))
+        pig = build_parallel_interference_graph(fn, machine)
+        calls = []
+        polled = pinter_color(pig, 8, check_deadline=lambda: calls.append(1))
+        plain = pinter_color(pig, 8)
+        # Every node is deleted and colored once, so at least 2n steps.
+        assert len(calls) >= 2 * pig.graph.number_of_nodes() // DEADLINE_STRIDE
+        assert polled.removed_false_edges == plain.removed_false_edges
+        assert polled.coloring == plain.coloring
+
+    def test_budget_spent_inside_color_aborts(self, machine):
+        # The stall fires inside pinter_color, after the phase-boundary
+        # check passed: only the worklist poll can catch it, and the
+        # abort must not fall back to the Chaitin rung.
+        driver = CompilationDriver(
+            machine, config=DriverConfig(time_budget=0.5, strict=False)
+        )
+        with faults.inject("core.pinter_color", action="stall", seconds=0.8):
+            outcome = driver.compile_function(example1())
+        assert not outcome.ok
+        report = outcome.report
+        assert report.exit_code == EXIT_INTERNAL
+        assert not report.degraded
+        (error,) = report.errors()
+        assert error.phase == "color"
+        assert "mid-phase" in error.message
+
+    def test_compact_chaitin_polls_per_round(self):
+        from repro.regalloc.compact import compact_chaitin_allocate
+
+        with pytest.raises(BudgetExceededError):
+            compact_chaitin_allocate(example1(), 2, check_deadline=_expired)

@@ -233,3 +233,16 @@ class TestCommittedBackendBaseline:
             compact = by_phase["{}_compact".format(kernel)]["wall_s"]
             reference = by_phase["{}_reference".format(kernel)]["wall_s"]
             assert reference / compact >= 3.0, kernel
+
+    def test_committed_pr14_baseline_holds_the_pinter_floor(self):
+        repo = os.path.dirname(TOOLS)
+        path = os.path.join(repo, "BENCH_pr14.json")
+        with open(path) as handle:
+            rows = json.load(handle)
+        by_phase = {
+            r["phase"]: r for r in rows if r["workload"] == "pinter-n128"
+        }
+        # The worklist pinter_color >= 5x its frozen oracle.
+        fast = by_phase["color_pinter"]["wall_s"]
+        oracle = by_phase["color_pinter_oracle"]["wall_s"]
+        assert oracle / fast >= 5.0

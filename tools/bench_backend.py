@@ -21,6 +21,15 @@ Workloads:
     augmented scheduler vs the dict/graph one on the same schedule
     graph + E_f (same cycle map, checked).
 
+* ``pinter-n128`` — one ``random_block`` (n=128, window 96, load
+  0.3) on ``two-unit-superscalar``: phases ``color_pinter`` /
+  ``color_pinter_oracle`` time one Section-4 coloring call at r=16,
+  :func:`repro.core.coloring.pinter_color` against the frozen
+  pre-rewrite oracle of ``tests/core/pinter_oracle.py`` (each call
+  prices edges with its own fresh value model), interleaved over
+  ``--repeats`` rounds.  Every result field is checked identical
+  before any timing is trusted.
+
 * ``backend-cfg-d<D>`` — a diamond chain with a real CFG fixpoint.
   Phases ``liveness_rows`` / ``liveness_sets`` compare the packed
   bitrow solver to the frozenset solver (results checked equal).  No
@@ -28,10 +37,11 @@ Workloads:
   is microseconds either way — the representation exists to feed the
   interference kernel its masks, not to win this row.
 
-The PR-10 acceptance floor (``--check``, and the committed
-``BENCH_pr10.json`` via ``make bench-backend-check``): compact must be
->= 3x faster than reference on BOTH the interference and coloring
-phases of the large-block workload.
+The acceptance floors (``--check``, and ``make bench-backend-check``
+against the same run): compact must be >= 3x faster than reference on
+BOTH the interference and coloring phases of the large-block workload
+(committed in ``BENCH_pr10.json``), and ``pinter_color`` must be >= 5x
+faster than its oracle on ``pinter-n128`` (``BENCH_pr14.json``).
 
 Run:  PYTHONPATH=src python tools/bench_backend.py -o BENCH_backend_current.json
       PYTHONPATH=src python tools/bench_backend.py --check
@@ -39,7 +49,9 @@ Exit: 0 on success (and, with --check, floors hold), 1 otherwise.
 """
 
 import argparse
+import importlib.util
 import json
+import os
 import sys
 import time
 
@@ -64,6 +76,20 @@ COMPACT_OVER_REFERENCE_MIN = 3.0
 #: Registers for the coloring phase — low enough that the dense block
 #: spills hard, exercising the victim scan, not just simplification.
 COLORS = 8
+
+#: Acceptance floor: the worklist pinter_color must be >= 5x faster
+#: than the frozen oracle on the pinter-n128 block.
+PINTER_OVER_ORACLE_MIN = 5.0
+
+#: The pinter-n128 block and register count: r=16 under a window-96
+#: block makes one call sacrifice ~1,000 false edges and spill.
+PINTER_SIZE = 128
+PINTER_REGISTERS = 16
+
+ORACLE_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "tests", "core", "pinter_oracle.py",
+)
 
 
 def timed(thunk):
@@ -177,6 +203,85 @@ def bench_large_block(size, window, repeats, rows):
     return speedups
 
 
+def _load_oracle():
+    """The test suite's frozen pre-rewrite ``pinter_color``."""
+    spec = importlib.util.spec_from_file_location("pinter_oracle", ORACLE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.oracle_pinter_color
+
+
+def _pinter_signature(result):
+    return (
+        [w.index for w in result.selection_order],
+        [(a.index, b.index) for a, b in result.removed_false_edges],
+        [w.index for w in result.spilled],
+        {w.index: c for w, c in result.coloring.items()},
+        sorted(
+            tuple(sorted((a.index, b.index)))
+            for a, b in result.reduced_graph.edges()
+        ),
+    )
+
+
+def bench_pinter(repeats, rows):
+    """One Section-4 coloring call: worklist vs frozen oracle.
+
+    Returns the speedup for the floor check.
+    """
+    # Imported here, after the backend-n2048 rows are timed: repro.core
+    # pulls in most of the package, and the larger heap makes the GC
+    # passes inside the interference build measurably slower.
+    from repro.core.coloring import pinter_color
+    from repro.core.parallel_interference import (
+        build_parallel_interference_graph,
+    )
+    from repro.regalloc.spill import make_cost_function
+
+    machine = two_unit_superscalar()
+    fn = random_block(
+        RandomBlockConfig(size=PINTER_SIZE, seed=PINTER_SIZE, window=96,
+                          load_fraction=0.3)
+    )
+    workload = "pinter-n{}".format(PINTER_SIZE)
+    pig = build_parallel_interference_graph(fn, machine)
+    cost = make_cost_function(fn)
+    oracle = _load_oracle()
+
+    def fast():
+        return pinter_color(pig, PINTER_REGISTERS, cost=cost)
+
+    def slow():
+        return oracle(pig, PINTER_REGISTERS, cost=cost)
+
+    # -- equivalence first: timings of diverging colorers are garbage.
+    if _pinter_signature(fast()) != _pinter_signature(slow()):
+        raise SystemExit(
+            "bench_backend: pinter_color and its oracle disagree on "
+            "{} — timings would be meaningless".format(workload)
+        )
+
+    walls = {}
+    for _ in range(repeats):
+        for phase, thunk in (
+            ("color_pinter", fast), ("color_pinter_oracle", slow)
+        ):
+            wall, _ = timed(thunk)
+            walls[phase] = min(walls.get(phase, float("inf")), wall)
+    for phase in ("color_pinter", "color_pinter_oracle"):
+        rows.append({
+            "workload": workload,
+            "phase": phase,
+            "wall_s": round(walls[phase], 6),
+            "n_instrs": PINTER_SIZE,
+        })
+        print("{:<16} {:<24} {:>9.3f}s".format(workload, phase, walls[phase]))
+    speedup = walls["color_pinter_oracle"] / walls["color_pinter"]
+    print("{:<16} pinter_color speedup over oracle: {:.2f}x".format(
+        workload, speedup))
+    return speedup
+
+
 def bench_cfg_liveness(diamonds, block_size, repeats, rows):
     """Packed vs set-based liveness over a real CFG fixpoint."""
     fn = diamond_chain(num_diamonds=diamonds, block_size=block_size, seed=10)
@@ -243,7 +348,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check", action="store_true",
         help="fail unless compact >= {:.0f}x reference on interference "
-        "and coloring".format(COMPACT_OVER_REFERENCE_MIN),
+        "and coloring, and pinter_color >= {:.0f}x its oracle".format(
+            COMPACT_OVER_REFERENCE_MIN, PINTER_OVER_ORACLE_MIN),
     )
     parser.add_argument(
         "-o", "--output", default=None, metavar="FILE",
@@ -259,6 +365,7 @@ def main(argv=None) -> int:
 
     rows = []
     speedups = bench_large_block(args.size, args.window, args.repeats, rows)
+    speedups["pinter"] = bench_pinter(args.repeats, rows)
     if not args.skip_cfg:
         bench_cfg_liveness(args.diamonds, args.block_size, args.repeats,
                            rows)
@@ -274,18 +381,22 @@ def main(argv=None) -> int:
             name for name in ("interference", "color")
             if speedups[name] < COMPACT_OVER_REFERENCE_MIN
         ]
+        if speedups["pinter"] < PINTER_OVER_ORACLE_MIN:
+            failed.append("pinter")
         if failed:
             print(
-                "bench_backend: FAIL — compact below the {:.0f}x floor "
-                "on: {}".format(
-                    COMPACT_OVER_REFERENCE_MIN, ", ".join(failed)
+                "bench_backend: FAIL — below the {:.0f}x compact / "
+                "{:.0f}x pinter floors on: {}".format(
+                    COMPACT_OVER_REFERENCE_MIN, PINTER_OVER_ORACLE_MIN,
+                    ", ".join(failed),
                 ),
                 file=sys.stderr,
             )
             return 1
         print("bench_backend: floors hold (interference {:.2f}x, "
-              "color {:.2f}x)".format(
-                  speedups["interference"], speedups["color"]))
+              "color {:.2f}x, pinter {:.2f}x)".format(
+                  speedups["interference"], speedups["color"],
+                  speedups["pinter"]))
     return 0
 
 
