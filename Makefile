@@ -34,18 +34,16 @@ bench-batch-check: bench-batch
 		--ratio-max batch-fuzz-200:pool_warm_cache/pool_cold=0.1 \
 		--ratio-max batch-fuzz-200:disk_warm/pool_cold=0.2
 
-# Time large-region PIG construction (vector vs bitset engine) and
-# the region-sharded build's worker-count scaling.  The committed
-# baseline is BENCH_pr6.json.
+# Time large-region PIG construction (vector vs bitset engine).  The
+# committed baseline is BENCH_pr6.json.
 bench-pig:
 	PYTHONPATH=src python tools/bench_pig.py -o BENCH_pig_current.json
 
 # The PR-6 machine-independent floor on a fresh run: the vectorized
 # engine must stay >= 3x faster than the bitset engine on the n=2048
-# region (same run, interleaved timing).  --skip-shard keeps CI off
-# the multi-process rows, whose scaling is core-count-dependent.
+# region (same run, interleaved timing).
 bench-pig-check:
-	PYTHONPATH=src python tools/bench_pig.py --skip-shard --check \
+	PYTHONPATH=src python tools/bench_pig.py --check \
 		-o BENCH_pig_current.json
 	PYTHONPATH=src python tools/bench_compare.py none BENCH_pig_current.json \
 		--ratio-max pig-n2048:pig_vector/pig_bitset=0.3334

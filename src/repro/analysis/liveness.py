@@ -264,9 +264,9 @@ def block_live_intervals(
 # path numbers every register once and represents each live set as one
 # big Python int (bit i = register i live), so a transfer step is two
 # word-parallel integer operations.  The rows are the substrate the
-# compact interference builder (:mod:`repro.regalloc.compact`) and the
-# sharded back-end consume; :meth:`LivenessRows.to_info` converts back
-# to the reference representation for equivalence tests.
+# compact interference builder (:mod:`repro.regalloc.compact`)
+# consumes; :meth:`LivenessRows.to_info` converts back to the
+# reference representation for equivalence tests.
 
 
 @dataclass(frozen=True)

@@ -208,8 +208,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         raise InputError("--time-budget must be positive seconds")
     _install_cli_faults(args)
 
-    if args.pig_shards < 0:
-        raise InputError("--pig-shards must be >= 0")
     config = DriverConfig(
         strict=args.strict,
         paranoid=args.paranoid,
@@ -217,7 +215,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         time_budget=args.time_budget,
         optimize=args.optimize,
         engine=args.pig_engine,
-        pig_shards=args.pig_shards,
         region_cache=_region_cache_enabled(args),
         region_cache_dir=args.region_cache_dir,
         backend=args.backend,
@@ -352,9 +349,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if engine == "auto":
         # Resolve here so the circuit breaker keys and worker payloads
         # all see the concrete rung name.
-        from repro.deps.vector import HAVE_NUMPY
-
-        engine = "vector" if HAVE_NUMPY else "bitset"
+        engine = "vector"
     config = DriverConfig(
         strict=args.strict,
         paranoid=args.paranoid,
@@ -520,9 +515,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     engine = args.engine
     if engine == "auto":
-        from repro.deps.vector import HAVE_NUMPY
-
-        engine = "vector" if HAVE_NUMPY else "bitset"
+        engine = "vector"
     config = DriverConfig(
         strict=args.strict,
         paranoid=args.paranoid,
@@ -849,12 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="bitset",
         help="primary dependence engine for PIG construction: 'vector' "
         "is the packed-uint64 kernel (degrades vector->bitset->"
-        "reference), 'auto' picks vector when numpy is importable",
-    )
-    p_compile.add_argument(
-        "--pig-shards", type=int, default=0, metavar="N",
-        help="with N >= 2, build the PIG region-sharded across N warm "
-        "pool workers (vector/bitset engines only)",
+        "reference), 'auto' resolves to vector",
     )
     p_compile.add_argument(
         "--backend",
@@ -973,7 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "vector", "bitset", "reference"),
         default="bitset",
         help="primary dependence engine rung ('auto' resolves to "
-        "vector when numpy is importable)",
+        "vector)",
     )
     p_batch.add_argument(
         "--backend",
@@ -1131,7 +1119,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "vector", "bitset", "reference"),
         default="bitset",
         help="primary dependence engine rung ('auto' resolves to "
-        "vector when numpy is importable)",
+        "vector)",
     )
     p_serve.add_argument(
         "--backend",

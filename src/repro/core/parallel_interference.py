@@ -263,8 +263,8 @@ def _splice_false_edges_vector(
     kernel,
     def_to_web: Dict[DefPoint, Web],
     graph: nx.Graph,
+    inter_graph: nx.Graph,
     check_deadline=None,
-    inter_graph: Optional[nx.Graph] = None,
 ) -> None:
     """Vectorized variant of :func:`_splice_false_edges`: pair
     detection runs on the kernel's packed uint64 E_f matrix
@@ -279,78 +279,38 @@ def _splice_false_edges_vector(
     again from a later region overwrites (both directions, so they
     stay consistent) with an equal-valued dict — a no-op by value.
 
-    *inter_graph*, when given, is the function's E_r graph over webs;
-    its (few) edges are the only entries that may need the OR
-    treatment, so providing it lets the common all-fresh row skip the
-    per-key existence probing entirely.
+    *inter_graph* is the function's E_r graph over webs; its (few)
+    edges are the only entries that may need the OR treatment, so the
+    common all-fresh row skips the per-key existence probing entirely.
     """
-    from repro.deps.vector import HAVE_NUMPY, web_pair_hits
+    from repro.deps.vector import web_pair_hits
 
     webs, masks = _web_def_masks(kernel, def_to_web)
     if len(webs) < 2:
         return
-    batched = inter_graph is not None and HAVE_NUMPY
     hits = web_pair_hits(
         kernel.ef_rows,
         masks,
         len(kernel.index),
         packed_ef=getattr(kernel, "packed_ef", None),
         check_deadline=check_deadline,
-        as_arrays=batched,
+        as_arrays=True,
     )
-    adj = graph._adj
-    false_flag = EdgeOrigin.FALSE
-    shared = {"origin": false_flag}
-    inter_sets: Optional[Dict[int, set]] = None
-    if inter_graph is not None:
-        ordinal = {web: i for i, web in enumerate(webs)}
-        inter_sets = {}
-        for web_a, web_b in inter_graph.edges():
-            a = ordinal.get(web_a)
-            b = ordinal.get(web_b)
-            if a is None or b is None:
-                continue
-            if a > b:
-                a, b = b, a
-            inter_sets.setdefault(a, set()).add(b)
-    if batched:
-        _insert_false_rows_numpy(
-            hits, webs, adj, inter_sets, shared, false_flag,
-            check_deadline,
-        )
-        return
-    for a, matched in enumerate(hits):
-        if not matched:
+    ordinal = {web: i for i, web in enumerate(webs)}
+    inter_sets: Dict[int, set] = {}
+    for web_a, web_b in inter_graph.edges():
+        a = ordinal.get(web_a)
+        b = ordinal.get(web_b)
+        if a is None or b is None:
             continue
-        web_u = webs[a]
-        row_u = adj[web_u]
-        if inter_sets is not None:
-            inter = inter_sets.get(a)
-            if inter:
-                nbrs = []
-                for b in matched:
-                    if b in inter:
-                        row_u[webs[b]]["origin"] |= false_flag
-                    else:
-                        nbrs.append(webs[b])
-            else:
-                nbrs = [webs[b] for b in matched]
-            if not nbrs:
-                continue
-            row_u.update(dict.fromkeys(nbrs, shared))
-            for web_v in nbrs:
-                adj[web_v][web_u] = shared
-        else:
-            # No E_r adjacency provided: probe every key (safe path).
-            fresh = dict.fromkeys((webs[b] for b in matched), shared)
-            existing = row_u.keys() & fresh.keys()
-            for web_v in existing:
-                row_u[web_v]["origin"] |= false_flag
-                del fresh[web_v]
-            if fresh:
-                row_u.update(fresh)
-                for web_v in fresh:
-                    adj[web_v][web_u] = shared
+        if a > b:
+            a, b = b, a
+        inter_sets.setdefault(a, set()).add(b)
+    false_flag = EdgeOrigin.FALSE
+    _insert_false_rows_numpy(
+        hits, webs, graph._adj, inter_sets, {"origin": false_flag},
+        false_flag, check_deadline,
+    )
 
 
 def _insert_false_rows_numpy(

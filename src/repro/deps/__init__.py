@@ -7,14 +7,12 @@ from repro.deps.bitset import (
     InstructionIndex,
 )
 from repro.deps.vector import (
-    HAVE_NUMPY,
     VectorDependenceKernel,
     WORD_BITS,
     pack_rows,
     rows_from_hex,
     rows_to_hex,
     unpack_rows,
-    vector_backend,
     web_pair_hits,
     words_for,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "DependenceKind",
     "FALSE_CANDIDATE_KINDS",
     "FalseDependenceGraph",
-    "HAVE_NUMPY",
     "InstructionIndex",
     "ScheduleGraph",
     "VectorDependenceKernel",
@@ -97,7 +94,6 @@ __all__ = [
     "transit_dependence_pairs",
     "transitive_closure_pairs",
     "unpack_rows",
-    "vector_backend",
     "web_pair_hits",
     "words_for",
 ]

@@ -16,17 +16,13 @@ rewrites those hot loops over **packed uint64 blocks**:
   defining rows with one ``reduceat`` and finds intersecting webs with
   one vectorized AND + any() per row.
 
-numpy is used when importable (:data:`HAVE_NUMPY`); otherwise a pure
-Python fallback keeps rows as big ints — which CPython already
-combines word-parallel in C — and packs to :class:`array.array`
-(``'Q'``) blocks only at the matrix boundaries, so the engine is
-always available and always bit-identical.  The
-:class:`VectorDependenceKernel` it produces subclasses
+The :class:`VectorDependenceKernel` it produces subclasses
 :class:`~repro.deps.bitset.DependenceBitKernel`, so every row query,
 pair view, and downstream consumer works unchanged; the packed E_f
 matrix is cached on the instance for the vectorized splice in
-:mod:`repro.core.parallel_interference` and the shard wire format in
-:mod:`repro.service.shard`.
+:mod:`repro.core.parallel_interference`.  The hex row codec
+(:func:`rows_to_hex`) is the form the region cache
+(:mod:`repro.pipeline.incremental`) stores kernels in.
 
 Deadline semantics mirror the bitset kernel: the ``check_deadline``
 callback is polled once per :data:`~repro.deps.bitset.
@@ -38,9 +34,10 @@ mid-phase ``--time-budget`` preemption.
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
+
+import numpy as _np
 
 from repro.deps.bitset import DependenceBitKernel, InstructionIndex
 from repro.deps.schedule_graph import ScheduleGraph
@@ -48,34 +45,19 @@ from repro.machine.model import MachineDescription
 from repro.machine.resources import contention_rows
 from repro.utils.bits import iter_bits, popcount
 
-try:  # pragma: no cover - exercised via HAVE_NUMPY branches
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
-    HAVE_NUMPY = False
-
 __all__ = [
-    "HAVE_NUMPY",
     "WORD_BITS",
     "VectorDependenceKernel",
     "pack_rows",
     "rows_from_hex",
     "rows_to_hex",
     "unpack_rows",
-    "vector_backend",
     "web_pair_hits",
     "words_for",
 ]
 
 #: Bits per packed word (the vector lane width).
 WORD_BITS = 64
-
-
-def vector_backend() -> str:
-    """``"numpy"`` or ``"portable"`` — which backend builds will use."""
-    return "numpy" if HAVE_NUMPY else "portable"
 
 
 def words_for(n: int) -> int:
@@ -89,40 +71,29 @@ def words_for(n: int) -> int:
 
 
 def pack_rows(rows: Sequence[int], n: int):
-    """Big-int rows → packed little-endian uint64 matrix.
-
-    Returns an ``(len(rows), words_for(n))`` numpy array when numpy is
-    available, else a list of ``array('Q')`` blocks built from the same
-    little-endian byte layout (self-consistent on any host endianness).
-    """
+    """Big-int rows → packed little-endian ``(len(rows), words_for(n))``
+    uint64 matrix."""
     words = words_for(n)
     nbytes = words * 8
-    if HAVE_NUMPY:
-        if not rows:
-            return _np.zeros((0, words), dtype=_np.uint64)
-        buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
-        matrix = _np.frombuffer(buf, dtype="<u8").reshape(len(rows), words)
-        return matrix.astype(_np.uint64, copy=True)
-    return [array("Q", row.to_bytes(nbytes, "little")) for row in rows]
+    if not rows:
+        return _np.zeros((0, words), dtype=_np.uint64)
+    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    matrix = _np.frombuffer(buf, dtype="<u8").reshape(len(rows), words)
+    return matrix.astype(_np.uint64, copy=True)
 
 
 def unpack_rows(matrix, n: int) -> List[int]:
     """Inverse of :func:`pack_rows`: matrix → big-int rows."""
     nbytes = words_for(n) * 8
-    if HAVE_NUMPY and not isinstance(matrix, list):
-        data = matrix.astype("<u8", copy=False).tobytes()
-        return [
-            int.from_bytes(data[off:off + nbytes], "little")
-            for off in range(0, len(data), nbytes)
-        ]
+    data = matrix.astype("<u8", copy=False).tobytes()
     return [
-        int.from_bytes(memoryview(block).cast("B").tobytes(), "little")
-        for block in matrix
+        int.from_bytes(data[off:off + nbytes], "little")
+        for off in range(0, len(data), nbytes)
     ]
 
 
 def rows_to_hex(rows: Sequence[int]) -> List[str]:
-    """Endianness-neutral wire form of big-int rows (shard protocol)."""
+    """Endianness-neutral wire form of big-int rows (region cache)."""
     return [format(row, "x") for row in rows]
 
 
@@ -222,25 +193,6 @@ def _closure_numpy(
     return matrix
 
 
-def _closure_portable(
-    n: int,
-    adj: List[List[int]],
-    order: List[int],
-    poller: _StridePoller,
-) -> List[int]:
-    """Big-int closure in the same visit order (CPython's int ops are
-    already word-parallel C loops; packing only happens at the matrix
-    boundaries on this backend)."""
-    rows = [0] * n
-    for i in order:
-        poller.visit(1)
-        row = 0
-        for j in adj[i]:
-            row |= (1 << j) | rows[j]
-        rows[i] = row
-    return rows
-
-
 # ----------------------------------------------------------------------
 # The kernel
 # ----------------------------------------------------------------------
@@ -251,17 +203,19 @@ class VectorDependenceKernel(DependenceBitKernel):
     """Drop-in :class:`DependenceBitKernel` built by the vector engine.
 
     Rows are plain big ints (full query/pair API inherited); the packed
-    E_f matrix is kept in :attr:`packed_ef` (numpy backend only) so the
-    vectorized web splice and the shard protocol never re-pack it.
+    E_f matrix is kept in :attr:`packed_ef` so the vectorized web
+    splice never re-packs it.
 
     Attributes:
-        packed_ef: ``(n, words)`` uint64 E_f matrix, or ``None`` on the
-            portable backend.
-        backend: ``"numpy"`` or ``"portable"``.
+        packed_ef: ``(n, words)`` uint64 E_f matrix, or ``None`` until
+            :meth:`packed_ef_matrix` packs it (empty kernels and
+            kernels rebuilt from cached wire rows).
+        backend: ``"numpy"`` when built here, ``"wire"`` when rebuilt
+            from cached rows.
     """
 
     packed_ef: object = None
-    backend: str = "portable"
+    backend: str = "numpy"
 
     @classmethod
     def build(
@@ -274,8 +228,8 @@ class VectorDependenceKernel(DependenceBitKernel):
 
         Same contract as :meth:`DependenceBitKernel.build` — same rows,
         same deadline-poll stride, same obs counters — computed with
-        level-batched packed-word reductions when numpy is available.
-        Trips the ``deps.vector`` fault point.
+        level-batched packed-word reductions.  Trips the
+        ``deps.vector`` fault point.
         """
         from repro.obs import get_metrics, get_tracer
         from repro.utils.faults import trip
@@ -306,7 +260,10 @@ class VectorDependenceKernel(DependenceBitKernel):
         universe = index.universe
 
         packed_ef = None
-        if HAVE_NUMPY and n:
+        reach: List[int] = []
+        et: List[int] = []
+        ef: List[int] = []
+        if n:
             unit = _unit_rows(n)
             reach_m = _closure_numpy(n, succ_adj, reverse_topo, unit, poller)
             anc_m = _closure_numpy(n, pred_adj, topo, unit, poller)
@@ -317,13 +274,6 @@ class VectorDependenceKernel(DependenceBitKernel):
             et = unpack_rows(et_m, n)
             ef = unpack_rows(ef_m, n)
             packed_ef = ef_m
-            backend = "numpy"
-        else:
-            reach = _closure_portable(n, succ_adj, reverse_topo, poller)
-            ancestors = _closure_portable(n, pred_adj, topo, poller)
-            et = [reach[i] | ancestors[i] | contention[i] for i in range(n)]
-            ef = [universe & ~(et[i] | (1 << i)) for i in range(n)]
-            backend = "portable"
 
         kernel = cls(
             index=index,
@@ -332,7 +282,6 @@ class VectorDependenceKernel(DependenceBitKernel):
             et_rows=et,
             ef_rows=ef,
             packed_ef=packed_ef,
-            backend=backend,
         )
 
         tracer = get_tracer()
@@ -345,8 +294,6 @@ class VectorDependenceKernel(DependenceBitKernel):
             tracer.counter("kernel.deadline_polls", poller.polls)
             tracer.counter("kernel.et_edges", et_edges)
             tracer.counter("kernel.ef_edges", ef_edges)
-            tracer.counter("kernel.vector_backend_numpy",
-                           1 if backend == "numpy" else 0)
             metrics.counter("kernel.closure_visits").inc(2 * n)
             metrics.counter("kernel.deadline_polls").inc(poller.polls)
             metrics.histogram("kernel.et_edges").observe(et_edges)
@@ -355,8 +302,8 @@ class VectorDependenceKernel(DependenceBitKernel):
 
     def packed_ef_matrix(self):
         """The packed E_f matrix, building it on first use when the
-        kernel was reconstructed from wire rows (shard stitching)."""
-        if self.packed_ef is None and HAVE_NUMPY:
+        kernel was reconstructed from cached wire rows."""
+        if self.packed_ef is None:
             self.packed_ef = pack_rows(self.ef_rows, len(self.index))
         return self.packed_ef
 
@@ -384,54 +331,34 @@ def web_pair_hits(
     defining instruction of web *b* — exactly the pairs the big-int
     splice inserts, detected one vectorized row at a time.
 
-    With ``as_arrays=True`` the numpy path keeps each hit row as an
-    intp ndarray (skipping the ``tolist`` conversion for consumers
-    that feed the ordinals straight back into array indexing); the
-    portable path always returns plain lists, so callers asking for
-    arrays must still treat rows as generic sequences (``len``-test,
-    not truth-test).
+    With ``as_arrays=True`` each non-empty hit row stays an intp
+    ndarray (skipping the ``tolist`` conversion for consumers that feed
+    the ordinals straight back into array indexing); rows without hits
+    are empty lists either way, so callers must treat rows as generic
+    sequences (``len``-test, not truth-test).
     """
     count = len(masks)
     hits: List[Sequence[int]] = [[] for _ in range(count)]
     if count < 2:
         return hits
-    if HAVE_NUMPY:
-        ef_m = packed_ef
-        if ef_m is None or isinstance(ef_m, list):
-            ef_m = pack_rows(ef_rows, n)
-        mask_m = pack_rows(masks, n)
-        flat: List[int] = []
-        offsets: List[int] = []
-        for mask in masks:
-            offsets.append(len(flat))
-            flat.extend(iter_bits(mask))
-        neighbor_m = _np.bitwise_or.reduceat(ef_m[flat], offsets, axis=0)
-        stride = DependenceBitKernel.DEADLINE_STRIDE - 1
-        for a in range(count - 1):
-            if check_deadline is not None and not (a & stride):
-                check_deadline()
-            matched = _np.nonzero(
-                (mask_m[a + 1:] & neighbor_m[a]).any(axis=1)
-            )[0]
-            if matched.size:
-                shifted = matched + (a + 1)
-                hits[a] = shifted if as_arrays else shifted.tolist()
-        return hits
-    # Portable path: identical O(W^2) big-int pair scan.
-    neighbor_masks = []
+    ef_m = packed_ef
+    if ef_m is None:
+        ef_m = pack_rows(ef_rows, n)
+    mask_m = pack_rows(masks, n)
+    flat: List[int] = []
+    offsets: List[int] = []
     for mask in masks:
-        row = 0
-        for i in iter_bits(mask):
-            row |= ef_rows[i]
-        neighbor_masks.append(row)
+        offsets.append(len(flat))
+        flat.extend(iter_bits(mask))
+    neighbor_m = _np.bitwise_or.reduceat(ef_m[flat], offsets, axis=0)
     stride = DependenceBitKernel.DEADLINE_STRIDE - 1
     for a in range(count - 1):
         if check_deadline is not None and not (a & stride):
             check_deadline()
-        neighbor = neighbor_masks[a]
-        if not neighbor:
-            continue
-        hits[a] = [
-            b for b in range(a + 1, count) if neighbor & masks[b]
-        ]
+        matched = _np.nonzero(
+            (mask_m[a + 1:] & neighbor_m[a]).any(axis=1)
+        )[0]
+        if matched.size:
+            shifted = matched + (a + 1)
+            hits[a] = shifted if as_arrays else shifted.tolist()
     return hits

@@ -166,12 +166,11 @@ def machine_to_wire(machine: MachineDescription) -> Dict[str, object]:
     """A :class:`MachineDescription` as JSON-safe primitives (enum
     members travel by name).
 
-    This is both the pool-worker wire format (a worker rebuilds its
-    machine with :func:`machine_from_wire`) and the *canonical* form
-    the cache fingerprints: every field that can change a compile —
-    unit mix, issue width, register count, latencies, overrides,
-    pipelining — appears here, so two machines with equal wire forms
-    are interchangeable for compilation.
+    This is the *canonical* form the caches fingerprint (and
+    :func:`machine_from_wire` rebuilds): every field that can change a
+    compile — unit mix, issue width, register count, latencies,
+    overrides, pipelining — appears here, so two machines with equal
+    wire forms are interchangeable for compilation.
     """
     return {
         "name": machine.name,

@@ -237,7 +237,7 @@ class CompileReport:
 @dataclass
 class DriverConfig:
     """Knobs of the hardened driver (CLI flags map 1:1; ``engine``
-    is ``--pig-engine`` and ``pig_shards`` is ``--pig-shards``).
+    is ``--pig-engine``).
 
     Attributes:
         strict: Disable every fallback rung — the first phase error
@@ -259,12 +259,8 @@ class DriverConfig:
             uint64 kernel, :mod:`repro.deps.vector`) degrades through
             ``"bitset"`` to ``"reference"``; ``"reference"`` has no
             rung below it.  ``"auto"`` resolves at driver construction
-            to ``"vector"`` when numpy is importable, else
-            ``"bitset"`` (the resolved name is what the fingerprint —
-            and therefore the compile cache — sees).
-        pig_shards: When >= 2, PIG construction is sharded by
-            scheduling region across that many warm pool workers
-            (:mod:`repro.service.shard`); 0 or 1 builds in-process.
+            to ``"vector"`` (the resolved name is what the fingerprint
+            — and therefore the compile cache — sees).
         region_cache: Serve per-region dependence kernels from the
             region-grain cache (:mod:`repro.pipeline.incremental`), so
             an edit-recompile loop pays only the edited regions.  Only
@@ -292,7 +288,6 @@ class DriverConfig:
     use_regions: bool = True
     max_spill_rounds: int = 12
     engine: str = "bitset"
-    pig_shards: int = 0
     region_cache: bool = False
     region_cache_dir: Optional[str] = None
     backend: str = "auto"
@@ -538,9 +533,7 @@ class CompilationDriver:
                 raise InputError("unknown driver option {!r}".format(key))
             setattr(cfg, key, value)
         if cfg.engine == "auto":
-            from repro.deps.vector import HAVE_NUMPY
-
-            cfg.engine = "vector" if HAVE_NUMPY else "bitset"
+            cfg.engine = "vector"
         if cfg.engine not in _ENGINE_LADDER:
             raise InputError(
                 "unknown dependence engine {!r}".format(cfg.engine)
@@ -550,10 +543,6 @@ class CompilationDriver:
         if cfg.backend not in _BACKEND_LADDER:
             raise InputError(
                 "unknown compiler backend {!r}".format(cfg.backend)
-            )
-        if cfg.pig_shards < 0:
-            raise InputError(
-                "pig_shards must be >= 0, got {}".format(cfg.pig_shards)
             )
         if self.num_registers < 1:
             raise InputError("need at least one register")
@@ -803,11 +792,11 @@ class CompilationDriver:
         ):
             return None
         from repro.pipeline.incremental import (
-            SHARDABLE_ENGINES,
+            CACHEABLE_ENGINES,
             region_cache_for,
         )
 
-        if engine not in SHARDABLE_ENGINES:
+        if engine not in CACHEABLE_ENGINES:
             return None
         return region_cache_for(cfg.region_cache_dir)
 
@@ -829,8 +818,7 @@ class CompilationDriver:
         reference cross-check; in strict mode the first failure
         aborts.  Returns the graph plus the engine that actually
         produced it, so the degradation sticks for the rest of the
-        compile.  With ``pig_shards >= 2`` the fast rungs build
-        region-sharded across the warm worker pool.
+        compile.
         """
         cfg = self.config
         mid_phase = guard.mid_phase_checker()
@@ -847,17 +835,7 @@ class CompilationDriver:
                     work, self.machine, cache,
                     use_regions=cfg.use_regions, engine=target,
                     config_fingerprint=cfg.fingerprint(),
-                    shards=cfg.pig_shards, check_deadline=mid_phase,
-                    backend=backend,
-                )
-            if cfg.pig_shards >= 2 and target in ("vector", "bitset"):
-                from repro.service.shard import build_sharded_pig
-
-                return build_sharded_pig(
-                    work, self.machine,
-                    use_regions=cfg.use_regions, engine=target,
-                    shards=cfg.pig_shards, check_deadline=mid_phase,
-                    backend=backend,
+                    check_deadline=mid_phase, backend=backend,
                 )
             return build_parallel_interference_graph(
                 work, self.machine,
@@ -1044,13 +1022,11 @@ class CompilationDriver:
         engine: str = "bitset",
     ) -> int:
         """Cycle count of the allocated program, through the back-end
-        ladder: compact augmented scheduling (array worklists; with
-        ``pig_shards >= 2`` the blocks are scheduled region-sharded
-        across the warm worker pool) degrades to the reference
-        augmented scheduler, which degrades to the plain list
-        scheduler.  In paranoid mode the compact rung cross-checks
-        every block schedule against the reference scheduler and
-        degrades on divergence."""
+        ladder: compact augmented scheduling (array worklists)
+        degrades to the reference augmented scheduler, which degrades
+        to the plain list scheduler.  In paranoid mode the compact
+        rung cross-checks every block schedule against the reference
+        scheduler and degrades on divergence."""
 
         mid_phase = guard.mid_phase_checker()
         cache = self._region_cache(engine)
@@ -1102,36 +1078,13 @@ class CompilationDriver:
                 total += schedule.makespan
             return total
 
-        def sharded(backend: str) -> int:
-            from repro.service.shard import schedule_sharded
-
-            return schedule_sharded(
-                allocated, self.machine, engine=engine, backend=backend,
-                shards=cfg.pig_shards, use_regions=cfg.use_regions,
-                check_deadline=mid_phase,
-            )
-
         def plain() -> int:
             return simulate_function(allocated, self.machine).total_cycles
 
-        # The sharded path serves the primary rung only: cached,
-        # paranoid, and fault-armed compiles schedule in-process (the
-        # cross-check and the fault points belong in this process).
-        use_shards = (
-            cfg.pig_shards >= 2
-            and cache is None
-            and not cfg.paranoid
-            and engine in ("vector", "bitset")
-            and not faults.active_specs()
-        )
         ladder = _BACKEND_LADDER[cfg.backend]
         for pos, backend in enumerate(ladder):
-            if use_shards and pos == 0:
-                def attempt(b: str = backend) -> int:
-                    return sharded(b)
-            else:
-                def attempt(b: str = backend) -> int:
-                    return augmented(b)
+            def attempt(b: str = backend) -> int:
+                return augmented(b)
             try:
                 return guard.run("schedule", attempt, recoverable=True)
             except _PhaseError:

@@ -19,17 +19,16 @@ This module is the reuse path:
   through the cache; used by the driver's theorem-1 check and the
   scheduler's per-block false-dependence graphs.
 * :func:`build_incremental_pig` — the whole-function build: split into
-  regions, look every region up, rebuild only the misses (locally, or
-  fanned over the warm worker pool when ``pig_shards`` asks for it),
-  and compose the function result by web stitching, bit-identical to
-  the cold build.
+  regions, look every region up, rebuild only the misses, and compose
+  the function result by web stitching, bit-identical to the cold
+  build.
 
 Cache honesty mirrors the whole-compile tiers (PR 5/PR 8):
 
 * Entries are stored in the validated worker-result shape with the
   kernel rows as the ``pig_region`` report payload, so the store's
-  ``_is_cacheable`` gate and the shard layer's report validation both
-  apply on the way in and on the way out; a corrupt or mismatched
+  ``_is_cacheable`` gate and :func:`_kernel_from_report`'s validation
+  both apply on the way in and on the way out; a corrupt or mismatched
   entry degrades to a miss and a local rebuild.
 * **Fault-armed processes neither read nor write the cache** — an
   injected fault must never freeze into a stored kernel, and a replay
@@ -45,7 +44,6 @@ surfaces the hit rate of a session.
 
 from __future__ import annotations
 
-import uuid
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -68,6 +66,7 @@ from repro.core.parallel_interference import (
     interference_for_backend,
 )
 from repro.core.scheduling_value import region_value_rows
+from repro.deps.bitset import DependenceBitKernel, InstructionIndex
 from repro.deps.false_dependence import (
     FalseDependenceGraph,
     false_dependence_graph,
@@ -77,24 +76,16 @@ from repro.deps.global_deps import (
     transit_dependence_pairs,
 )
 from repro.deps.schedule_graph import ScheduleGraph, region_schedule_graph
+from repro.deps.vector import (
+    VectorDependenceKernel,
+    rows_from_hex,
+    rows_to_hex,
+)
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
-from repro.ir.printer import format_function, format_instruction
+from repro.ir.printer import format_instruction
 from repro.machine.model import MachineDescription
 from repro.obs import get_metrics, get_tracer
-from repro.regalloc.interference import build_interference_graph
-from repro.service.manifest import CompileTask
-from repro.service.pool import PoolHandle, WorkerPool
-from repro.service.shard import (
-    DEFAULT_TASK_TIMEOUT,
-    SHARDABLE_ENGINES,
-    _collect_done,
-    _kernel_from_report,
-    _pool_for,
-    build_region_payload,
-    kernel_to_report,
-)
-from repro.service.worker import WorkerOutcome
 from repro.utils import faults
 from repro.utils.errors import InputError
 
@@ -107,6 +98,13 @@ MIN_CACHE_INSTRS = 8
 #: a function has many regions, so this runs deeper than the
 #: whole-compile tier).
 REGION_CACHE_CAPACITY = 4096
+
+#: The ``kind`` of a stored kernel report.
+PIG_REGION_KIND = "pig_region"
+
+#: Engines whose kernels have a wire-row form the region cache can
+#: store (the reference engine keeps pair sets, not rows).
+CACHEABLE_ENGINES = ("vector", "bitset")
 
 
 # ----------------------------------------------------------------------
@@ -142,10 +140,66 @@ def reset_region_caches() -> None:
 # ----------------------------------------------------------------------
 
 
+def kernel_to_report(kernel, engine: str) -> Dict[str, object]:
+    """One kernel's four row families as the ``pig_region`` report
+    payload — hex wire rows, JSON-safe.  This is what the region cache
+    stores."""
+    return {
+        "kind": PIG_REGION_KIND,
+        "engine": engine,
+        "n": len(kernel.index),
+        "reach": rows_to_hex(kernel.reach_rows),
+        "contention": rows_to_hex(kernel.contention_rows),
+        "et": rows_to_hex(kernel.et_rows),
+        "ef": rows_to_hex(kernel.ef_rows),
+    }
+
+
+def _kernel_from_report(
+    report: Dict[str, object], instructions: List[Instruction], engine: str
+):
+    """Rebuild a kernel from wire rows over the caller's own
+    instruction sequence, or ``None`` when the report does not
+    type-check (the entry was read from disk — trust nothing
+    unvalidated)."""
+    if not isinstance(report, dict) or report.get("kind") != PIG_REGION_KIND:
+        return None
+    n = len(instructions)
+    if report.get("n") != n:
+        return None
+    rows: Dict[str, List[int]] = {}
+    for key in ("reach", "contention", "et", "ef"):
+        texts = report.get(key)
+        if not isinstance(texts, list) or len(texts) != n:
+            return None
+        try:
+            rows[key] = rows_from_hex(texts)
+        except (TypeError, ValueError):
+            return None
+    index = InstructionIndex(list(instructions))
+    if engine == "vector":
+        return VectorDependenceKernel(
+            index=index,
+            reach_rows=rows["reach"],
+            contention_rows=rows["contention"],
+            et_rows=rows["et"],
+            ef_rows=rows["ef"],
+            packed_ef=None,  # packed lazily by packed_ef_matrix()
+            backend="wire",
+        )
+    return DependenceBitKernel(
+        index=index,
+        reach_rows=rows["reach"],
+        contention_rows=rows["contention"],
+        et_rows=rows["et"],
+        ef_rows=rows["ef"],
+    )
+
+
 def _entry_for(kernel, engine: str, sg: ScheduleGraph) -> Dict[str, object]:
     """A kernel as a storable entry: the validated worker-result shape
     with the wire rows as the report, so the store's cacheability gate
-    and the shard layer's report validation both apply.  The report
+    and :func:`_kernel_from_report`'s validation both apply.  The report
     additionally carries the region's positional ``(ep, height)``
     scheduling-value rows — like the kernel, a pure function of
     (schedule graph, machine) — so a replay prices false edges without
@@ -187,7 +241,7 @@ def _lookup(
 ):
     """``(kernel, value_rows)`` for *key* rebuilt over the caller's own
     instruction sequence, or ``None``.  Malformed rows (size drift, bad
-    hex) degrade to a miss exactly like a poisoned shard report."""
+    hex) degrade to a miss."""
     entry = cache.get(key)
     if entry is None:
         return None
@@ -226,7 +280,7 @@ def cached_region_fdg(
     """
     if (
         cache is None
-        or engine not in SHARDABLE_ENGINES
+        or engine not in CACHEABLE_ENGINES
         or len(sg.instructions) < min_instrs
         or faults.active_specs()
     ):
@@ -282,7 +336,7 @@ def cached_region_fdg_ir(
         return None
     if (
         cache is None
-        or engine not in SHARDABLE_ENGINES
+        or engine not in CACHEABLE_ENGINES
         or len(work.instructions) < min_instrs
         or faults.active_specs()
     ):
@@ -389,10 +443,7 @@ def build_incremental_pig(
     use_regions: bool = True,
     engine: str = "bitset",
     config_fingerprint: str = "",
-    shards: int = 0,
     check_deadline: Optional[Callable[[], None]] = None,
-    pool: Optional[WorkerPool] = None,
-    task_timeout: float = DEFAULT_TASK_TIMEOUT,
     backend: str = "reference",
 ) -> ParallelInterferenceGraph:
     """Build G for *fn* compiling only the regions the cache misses.
@@ -401,22 +452,18 @@ def build_incremental_pig(
     (:func:`~repro.analysis.regions.schedule_regions` +
     :func:`~repro.deps.schedule_graph.region_schedule_graph`), looks
     every region kernel up by :class:`~repro.cache.keys.
-    RegionCacheKey`, rebuilds the misses — in process, or fanned over
-    the warm worker pool when ``shards >= 2`` and more than one region
-    missed — and stitches hits and rebuilds onto the web graph in
-    region order.  Output is bit-identical to
-    :func:`~repro.core.parallel_interference.
+    RegionCacheKey`, rebuilds the misses, and stitches hits and
+    rebuilds onto the web graph in region order.  Output is
+    bit-identical to :func:`~repro.core.parallel_interference.
     build_parallel_interference_graph` with the same *engine*.
 
     Fault-armed processes bypass the store in both directions and
-    rebuild everything (the fan-out path is also skipped: a worker
-    would re-arm the faults, and this path exists to test them, not to
-    race them).
+    rebuild everything.
     """
-    if engine not in SHARDABLE_ENGINES:
+    if engine not in CACHEABLE_ENGINES:
         raise InputError(
             "incremental PIG build needs one of {}, got {!r}".format(
-                "/".join(SHARDABLE_ENGINES), engine
+                "/".join(CACHEABLE_ENGINES), engine
             )
         )
     tracer = get_tracer()
@@ -425,7 +472,6 @@ def build_incremental_pig(
         "pig.incremental.build",
         function=fn.name,
         engine=engine,
-        shards=shards,
     ):
         interference = interference_for_backend(fn, backend)
         def_to_web = web_of_definition(interference.webs)
@@ -487,16 +533,8 @@ def build_incremental_pig(
         _note_region("hit", len(kernels))
         _note_region("miss", len(missed))
 
-        # Phase 2: rebuild the misses.  The warm pool is worth its
-        # dispatch overhead only for a real fan-out.
-        if shards >= 2 and len(missed) >= 2 and not armed:
-            _build_missing_pooled(
-                fn, machine, engine, works, missed, kernels,
-                shards, check_deadline, pool, task_timeout,
-            )
+        # Phase 2: rebuild the misses.
         for slot in missed:
-            if slot in kernels:
-                continue
             if check_deadline is not None:
                 check_deadline()
             kernels[slot] = false_dependence_graph(
@@ -558,69 +596,3 @@ def build_incremental_pig(
             machine=machine,
         )
 
-
-def _build_missing_pooled(
-    fn: Function,
-    machine: MachineDescription,
-    engine: str,
-    works: List[_RegionWork],
-    missed: List[int],
-    kernels: Dict[int, object],
-    shards: int,
-    check_deadline: Optional[Callable[[], None]],
-    pool: Optional[WorkerPool],
-    task_timeout: float,
-) -> None:
-    """Fan the missed regions over the warm pool, filling *kernels*
-    for every region that comes back well-formed.  Anything else —
-    crash, timeout, poisoned rows — is simply left missing and the
-    caller rebuilds it in process; a partial fan-out never loses
-    correctness, only speed."""
-    fn_text = format_function(fn)
-    owned_pool = pool is None
-    active_pool = _pool_for(shards) if owned_pool else pool
-    run_id = uuid.uuid4().hex[:8]
-    metrics = get_metrics()
-
-    outcomes: Dict[int, WorkerOutcome] = {}
-    inflight: Dict[str, Tuple[int, PoolHandle]] = {}
-    try:
-        for slot in missed:
-            region = works[slot].region
-            while len(inflight) >= active_pool.size:
-                _collect_done(active_pool, inflight, outcomes, check_deadline)
-            if check_deadline is not None:
-                check_deadline()
-            task_id = "incr-{}-r{}".format(run_id, region.index)
-            payload = build_region_payload(
-                fn_text, fn.name, machine, region, engine, task_id
-            )
-            handle = active_pool.dispatch(
-                CompileTask(task_id=task_id, name=fn.name, text=fn_text),
-                payload,
-                timeout=task_timeout,
-            )
-            inflight[task_id] = (slot, handle)
-            metrics.counter("pig.shard.dispatched").inc()
-        while inflight:
-            _collect_done(active_pool, inflight, outcomes, check_deadline)
-    except BaseException:
-        # Same discipline as build_sharded_pig: busy workers with
-        # unread frames would desync a reused pool.
-        active_pool.shutdown()
-        raise
-
-    for slot, outcome in outcomes.items():
-        if outcome.kind != "result":
-            metrics.counter("pig.shard.fallback_local").inc()
-            continue
-        kernel = _kernel_from_report(
-            (outcome.result or {}).get("report"),
-            works[slot].instructions,
-            engine,
-        )
-        if kernel is None:
-            metrics.counter("pig.shard.fallback_local").inc()
-            continue
-        metrics.counter("pig.shard.completed").inc()
-        kernels[slot] = kernel

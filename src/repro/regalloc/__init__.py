@@ -30,7 +30,6 @@ from repro.regalloc.compact import (
     compact_chaitin_color,
     compact_classic_h,
     compact_graph_from_nx,
-    region_interference_rows,
 )
 from repro.regalloc.chaitin import (
     ColoringResult,
@@ -69,7 +68,6 @@ __all__ = [
     "compact_chaitin_color",
     "compact_classic_h",
     "compact_graph_from_nx",
-    "region_interference_rows",
     "classic_h",
     "exact_chromatic_number",
     "greedy_chromatic_upper_bound",

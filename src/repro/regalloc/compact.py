@@ -15,7 +15,7 @@ Equivalence contract (pinned by ``tests/regalloc/test_compact.py``):
 * :func:`build_compact_interference` produces exactly the edge set of
   :func:`repro.regalloc.interference.build_interference_graph` —
   the interval extraction and stabbing logic are shared, only the edge
-  sink differs (bitrows, bulk-set under numpy, instead of
+  sink differs (bitrows, bulk-set with numpy, instead of
   ``Graph.add_edge``).
 * :func:`compact_chaitin_color` reproduces the worklist reference
   :func:`repro.regalloc.chaitin.chaitin_color` node for node — same
@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.analysis.defuse import DefUseChains, shared_def_use_chains
 from repro.analysis.liveness import (
     LiveInterval,
@@ -41,15 +43,12 @@ from repro.analysis.liveness import (
 )
 from repro.analysis.reaching import DefPoint, reaching_definitions
 from repro.analysis.webs import Web, build_webs, web_of_definition
-from repro.deps.vector import HAVE_NUMPY, unpack_rows, words_for
+from repro.deps.vector import unpack_rows, words_for
 from repro.ir.function import Function
 from repro.ir.operands import Register
 from repro.regalloc.interference import InterferenceGraph, _interval_owner
 from repro.utils.errors import AllocationError
 from repro.utils.faults import trip
-
-if HAVE_NUMPY:  # pragma: no cover - exercised via HAVE_NUMPY branches
-    import numpy as _np
 
 __all__ = [
     "CompactColoring",
@@ -60,7 +59,6 @@ __all__ = [
     "compact_chaitin_color",
     "compact_classic_h",
     "compact_graph_from_nx",
-    "region_interference_rows",
 ]
 
 
@@ -243,27 +241,6 @@ def _block_owned_spans(
     return starts, his, widx
 
 
-def _stab_pairs_python(
-    starts: List[int], his: List[int], widx: List[int], adj: List[int]
-) -> None:
-    """Portable stabbing: set adjacency bits for every conflicting
-    span pair of one block (same query as the reference builder)."""
-    from bisect import bisect_left, bisect_right
-
-    order = sorted(range(len(starts)), key=lambda k: starts[k])
-    def_positions = [starts[k] for k in order]
-    for i in range(len(starts)):
-        wa = widx[i]
-        for k in range(
-            bisect_left(def_positions, starts[i]),
-            bisect_right(def_positions, his[i]),
-        ):
-            wb = widx[order[k]]
-            if wa != wb:
-                adj[wa] |= 1 << wb
-                adj[wb] |= 1 << wa
-
-
 def _stab_pairs_numpy(
     starts: List[int], his: List[int], widx: List[int]
 ) -> Tuple["object", "object"]:
@@ -292,32 +269,21 @@ def _stab_pairs_numpy(
 
 
 def build_compact_interference(
-    fn: Function,
-    closed_end: bool = False,
-    only_blocks: Optional[Sequence[str]] = None,
-    collect_edges: bool = True,
+    fn: Function, closed_end: bool = False
 ) -> CompactInterference:
     """Build G_r for *fn* on bitrows.
 
     Same construction as the reference builder — shared interval
     extraction, shared owner lookup, shared stabbing query — with the
     edge sink swapped for bitrow bulk insertion (numpy ``bitwise_or.at``
-    over a packed uint64 matrix when available, big-int bit-sets
-    otherwise), bitrow liveness, and the reaching-definition pass
+    over a packed uint64 matrix), bitrow liveness, and the
+    reaching-definition pass
     skipped when no block is entered with a locally-defined register
     live (the only case the owner lookup consults it).
 
     Args:
         fn: The function (single- or multi-block).
         closed_end: Closed-interval convention (as in the reference).
-        only_blocks: Restrict edge/interval extraction to these block
-            names (the whole-pipeline shard workers build one region's
-            contribution; webs and liveness stay global).
-        collect_edges: With False, skip the stabbing entirely and
-            return an edgeless graph — webs, liveness, and
-            ``intervals_of`` are still complete.  This is the parent's
-            skeleton in the sharded build: the quadratic pair work is
-            what the workers ship back as rows.
     """
     rows = live_variables_rows(fn)
     index = rows.index
@@ -342,27 +308,21 @@ def build_compact_interference(
     n = len(webs)
     adj = [0] * n
     intervals_of: Dict[Web, List[LiveInterval]] = {web: [] for web in webs}
-    block_filter = set(only_blocks) if only_blocks is not None else None
 
     pair_a: List["object"] = []
     pair_b: List["object"] = []
     for block in fn.blocks():
-        if block_filter is not None and block.name not in block_filter:
-            continue
         starts, his, widx = _block_owned_spans(
             block, rows, def_to_web, reach_in_defs, intervals_of, closed_end
         )
-        if not starts or not collect_edges:
+        if not starts:
             continue
-        if HAVE_NUMPY:
-            wa, wb = _stab_pairs_numpy(starts, his, widx)
-            if wa is not None:
-                pair_a.append(wa)
-                pair_b.append(wb)
-        else:
-            _stab_pairs_python(starts, his, widx, adj)
+        wa, wb = _stab_pairs_numpy(starts, his, widx)
+        if wa is not None:
+            pair_a.append(wa)
+            pair_b.append(wb)
 
-    if HAVE_NUMPY and pair_a:
+    if pair_a:
         a = _np.concatenate(pair_a)
         b = _np.concatenate(pair_b)
         words = words_for(n)
@@ -384,32 +344,6 @@ def build_compact_interference(
         chains=chains,
         function=fn,
     )
-
-
-def region_interference_rows(
-    fn: Function, block_names: Sequence[str], closed_end: bool = False
-) -> Tuple[List[int], List[Tuple[int, str, int, int, Optional[int]]]]:
-    """One region's interference contribution in wire-friendly form.
-
-    Returns ``(adjacency bitrows over global web indices, intervals)``
-    where each interval is ``(web_index, block, start, end, def_uid)``
-    — what a whole-pipeline shard worker ships back.  Webs and liveness
-    are global (deterministic on both sides of the wire); only the
-    interval extraction and stabbing are restricted to the region.
-    """
-    compact = build_compact_interference(
-        fn, closed_end=closed_end, only_blocks=block_names
-    )
-    intervals: List[Tuple[int, str, int, int, Optional[int]]] = []
-    for web in compact.webs:
-        for iv in compact.intervals_of[web]:
-            uid = (
-                iv.defining_instruction.uid
-                if iv.defining_instruction is not None
-                else None
-            )
-            intervals.append((web.index, iv.block, iv.start, iv.end, uid))
-    return compact.graph.adj, intervals
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,7 @@ Public surface of the ``repro.service`` package: build tasks
 (:func:`load_manifest`, :func:`fuzz_tasks`), run them on isolated
 workers with retry/circuit/checkpoint policy (:class:`BatchRunner`) —
 per-attempt fork workers or a persistent :class:`WorkerPool` — or run
-a single isolated attempt (:func:`run_one`).  Region-sharded PIG
-construction (:func:`build_sharded_pig`) reuses the same pool to fan
-per-region graph builds across workers.  The long-running HTTP/JSON
+a single isolated attempt (:func:`run_one`).  The long-running HTTP/JSON
 front end (:class:`CompileServer`, ``repro serve``) drives the same
 machinery as a service: token-style admission
 (:class:`SessionTable`), request coalescing and deadline-aware
@@ -44,16 +42,6 @@ from repro.service.pool import (
     DEFAULT_MAX_TASKS_PER_WORKER,
     PoolHandle,
     WorkerPool,
-)
-from repro.service.shard import (
-    PIG_REGION_KIND,
-    SHARDABLE_ENGINES,
-    build_region_payload,
-    build_sharded_pig,
-    execute_pig_region,
-    machine_from_wire,
-    machine_to_wire,
-    shutdown_shared_pool,
 )
 from repro.service.server import (
     EXIT_SERVE_OK,
@@ -101,24 +89,16 @@ __all__ = [
     "EXIT_BATCH_INPUT",
     "EXIT_BATCH_INTERRUPTED",
     "EXIT_BATCH_OK",
-    "PIG_REGION_KIND",
     "PoolHandle",
     "RetryPolicy",
     "RunLedger",
-    "SHARDABLE_ENGINES",
     "TERMINAL_STATUSES",
     "TaskRecord",
     "WorkerOutcome",
     "WorkerPool",
     "audit_exactly_once",
     "crash_suspects",
-    "build_region_payload",
-    "build_sharded_pig",
-    "execute_pig_region",
     "fuzz_tasks",
     "load_manifest",
-    "machine_from_wire",
-    "machine_to_wire",
     "run_one",
-    "shutdown_shared_pool",
 ]

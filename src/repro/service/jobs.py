@@ -14,7 +14,9 @@ Per-job policy, in dispatch order:
    settled ``deadline-exceeded`` without burning a worker; otherwise
    the remaining budget is folded into the worker's ``DriverConfig.
    time_budget`` (the existing mid-phase ``check_deadline`` preemption
-   path) *and* caps the hard kill timeout.
+   path) *and* caps the hard kill timeout.  Either way the deadline
+   ends the job as ``deadline-exceeded``: a driver that aborts on that
+   budget settles the same as a queue expiry or a hard kill.
 2. **Coalescing** — jobs are keyed by the compile-cache key (input
    digest + machine + strategy + config + version).  A job whose key
    matches a queued/running job attaches to it as a *follower*: one
@@ -548,14 +550,11 @@ class JobDispatcher:
         now = time.monotonic()
         remaining = job.remaining(now)
         if remaining is not None and remaining <= 0:
-            with self._lock:
-                self.stats["deadline_exceeded"] += 1
-                self._settle_locked(
-                    job, STATUS_DEADLINE, exit_code=1,
-                    message="deadline expired before dispatch "
-                    "({:.3f}s over)".format(-remaining),
-                )
-            get_metrics().counter("serve.deadline_exceeded").inc()
+            self._settle_deadline(
+                job,
+                "deadline expired before dispatch "
+                "({:.3f}s over)".format(-remaining),
+            )
             return
 
         if (
@@ -628,6 +627,14 @@ class JobDispatcher:
             pid=handle.pid,
         )
 
+    def _settle_deadline(self, job: Job, message: str) -> None:
+        with self._lock:
+            self.stats["deadline_exceeded"] += 1
+            self._settle_locked(
+                job, STATUS_DEADLINE, exit_code=1, message=message
+            )
+        get_metrics().counter("serve.deadline_exceeded").inc()
+
     def _absorb(
         self, handle: PoolHandle, job: Job, outcome: WorkerOutcome
     ) -> None:
@@ -647,6 +654,15 @@ class JobDispatcher:
                 ):
                     self.cache.put(self._cache_key(job.task), result)
             elif result.get("failure_kind") == "internal":
+                remaining = job.remaining()
+                if remaining is not None and remaining <= 0:
+                    # The worker's time_budget carried this deadline:
+                    # the driver ran out of the request's time, which
+                    # is no engine defect for the breaker to count.
+                    self._settle_deadline(
+                        job, "compile aborted at the request deadline"
+                    )
+                    return
                 self.breaker.record_failure(key)
             status = str(result.get("status", "failed")) if completed_ok \
                 else "failed"
@@ -674,13 +690,9 @@ class JobDispatcher:
         self.breaker.record_failure(key)
         remaining = job.remaining()
         if kind == "timeout" and remaining is not None and remaining <= 0:
-            with self._lock:
-                self.stats["deadline_exceeded"] += 1
-                self._settle_locked(
-                    job, STATUS_DEADLINE, exit_code=1,
-                    message="worker preempted at the request deadline",
-                )
-            get_metrics().counter("serve.deadline_exceeded").inc()
+            self._settle_deadline(
+                job, "worker preempted at the request deadline"
+            )
             return
         with self._lock:
             draining = self._draining

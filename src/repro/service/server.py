@@ -584,6 +584,11 @@ class CompileServer:
         )
         writer.write(body)
         await writer.drain()
+        # Send the FIN explicitly: a pool worker forked while this
+        # connection was open holds a copy of the socket, so close()
+        # alone leaves the stream open until that worker exits.
+        if writer.can_write_eof():
+            writer.write_eof()
 
     # ------------------------------------------------------------------
     # Routing / endpoints

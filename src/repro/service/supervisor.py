@@ -32,7 +32,9 @@
 
 A clean child exit (graceful drain, code 0) ends supervision with
 code 0.  SIGTERM/SIGINT to the supervisor forwards SIGTERM to the
-child (graceful drain) and waits for it.
+child (graceful drain) and waits for it.  The child runs in a session
+of its own, and once it has exited, for any reason, the supervisor
+SIGKILLs its process group, so no pool worker outlives its server.
 """
 
 from __future__ import annotations
@@ -218,6 +220,7 @@ class Supervisor:
         self.child: Optional[subprocess.Popen] = None
         self.ready = threading.Event()
         self._shutdown = threading.Event()
+        self._drain_sent = False
 
     # ------------------------------------------------------------------
     # Child management
@@ -234,7 +237,9 @@ class Supervisor:
         ] + self.child_args
 
     def _spawn(self) -> subprocess.Popen:
-        child = subprocess.Popen(self._child_argv())
+        # A session of its own makes the server the leader of a
+        # process group holding every worker it forks (_reap_group).
+        child = subprocess.Popen(self._child_argv(), start_new_session=True)
         get_tracer().event(
             "supervisor.spawn", pid=child.pid, port=self.port,
         )
@@ -294,17 +299,23 @@ class Supervisor:
         spent = 0
         while True:
             self.child = self._spawn()
+            self._drain_sent = False
             hung = self._watch(self.child)
             if hung:
                 self.hangs += 1
                 get_metrics().counter("supervisor.hangs").inc()
                 self._kill(self.child)
             code = self.child.wait()
+            self._reap_group(self.child)
             if self._shutdown.is_set():
                 self._say(
                     "supervisor: shut down (child exited {})".format(code)
                 )
-                return 0 if code in (0, -signal.SIGTERM) else code
+                # A child that died before the drain reached it only
+                # raced the shutdown; a drain that fails reports.
+                if not self._drain_sent or code in (0, -signal.SIGTERM):
+                    return 0
+                return code
             if code == 0 and not hung:
                 self._say("supervisor: server drained cleanly")
                 return 0
@@ -386,6 +397,7 @@ class Supervisor:
             child.send_signal(signal.SIGTERM)
         except OSError:
             return
+        self._drain_sent = True
         try:
             child.wait(timeout=self.drain_timeout)
         except subprocess.TimeoutExpired:
@@ -401,6 +413,17 @@ class Supervisor:
         try:
             child.wait(timeout=10.0)
         except subprocess.TimeoutExpired:  # pragma: no cover
+            pass
+
+    def _reap_group(self, child: subprocess.Popen) -> None:
+        """SIGKILL what is left of the exited *child*'s process group.
+
+        A pool worker notices its server died only when its current
+        task ends, so a worker in a long task would otherwise outlive
+        the server it belonged to."""
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except OSError:  # the group is already empty
             pass
 
     # ------------------------------------------------------------------

@@ -175,14 +175,6 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
         # crash exits the process here, hang sleeps until killed.
         faults.trip("service.worker")
 
-        if payload.get("kind") in (
-            "pig_region", "interference_region", "sched_region"
-        ):
-            from repro.service.shard import execute_region_payload
-
-            result.update(execute_region_payload(payload))
-            return result
-
         from repro.machine.presets import ALL_PRESETS
         from repro.pipeline.driver import CompilationDriver, DriverConfig
         from repro.utils.errors import InputError

@@ -1,6 +1,7 @@
 """Region-grain cache keys, the machine-fingerprint collision fix, the
 determinism of region serialization, and the namespaced store."""
 
+import glob
 import json
 import os
 import subprocess
@@ -22,7 +23,11 @@ from repro.machine.model import MachineDescription
 from repro.machine.presets import two_unit_superscalar
 from repro.pipeline.driver import DriverConfig
 from repro.utils import faults
-from repro.workloads.generator import diamond_chain
+from repro.workloads.generator import (
+    RandomBlockConfig,
+    diamond_chain,
+    random_block,
+)
 
 
 def _custom_machine(**overrides):
@@ -317,3 +322,64 @@ class TestRegionCacheHonesty:
             close = getattr(runner, "close", None)
             if close is not None:
                 close()
+
+
+# ----------------------------------------------------------------------
+# Corrupt stored kernels (the region cache reads them back from disk)
+# ----------------------------------------------------------------------
+
+
+def _foreign_kind(report):
+    report["kind"] = "interference_region"
+
+
+def _wrong_n(report):
+    report["n"] += 1
+
+
+def _non_hex_row(report):
+    report["ef"][0] = "not-hex"
+
+
+def _short_rows(report):
+    report["reach"] = report["reach"][:-1]
+
+
+class TestCorruptRegionEntries:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_foreign_kind, _wrong_n, _non_hex_row, _short_rows],
+        ids=["foreign-kind", "wrong-n", "non-hex-row", "short-rows"],
+    )
+    def test_corrupt_entry_reads_as_miss(self, tmp_path, corrupt):
+        from repro.core.parallel_interference import (
+            build_parallel_interference_graph,
+        )
+        from repro.obs import collecting_metrics
+        from repro.pipeline.driver import _pig_signature
+        from repro.pipeline.incremental import build_incremental_pig
+
+        machine = two_unit_superscalar()
+        # One block: exactly one region, large enough to be cached.
+        fn = random_block(RandomBlockConfig(size=24, window=5, seed=3))
+        directory = str(tmp_path)
+        build_incremental_pig(
+            fn, machine, CompileCache(directory=directory), engine="bitset"
+        )
+        (path,) = glob.glob(os.path.join(directory, "*", "*", "*.json"))
+        with open(path) as handle:
+            document = json.load(handle)
+        corrupt(document["result"]["report"])
+        with open(path, "w") as handle:
+            json.dump(document, handle, sort_keys=True)
+
+        with collecting_metrics() as metrics:
+            replay = build_incremental_pig(
+                fn, machine, CompileCache(directory=directory),
+                engine="bitset",
+            )
+        counters = metrics.snapshot()["counters"]
+        assert counters.get("cache.region.hit", 0) == 0
+        assert counters["cache.region.miss"] == 1
+        cold = build_parallel_interference_graph(fn, machine, engine="bitset")
+        assert _pig_signature(replay) == _pig_signature(cold)

@@ -4,9 +4,7 @@ The property mirrors tests/deps/test_bitset_equivalence.py one engine
 up the ladder: over fuzzed (function, machine) combinations, the
 packed-word vector kernel (:mod:`repro.deps.vector`) produces exactly
 the E_t, E_f, closure-reach and web-projection results of both the
-big-int bitset kernel and the frozen set-based reference — on the
-numpy backend *and* on the portable big-int fallback (exercised by
-masking ``HAVE_NUMPY``).
+big-int bitset kernel and the frozen set-based reference.
 
 PIG comparisons key on ``web.index`` (webs from independent builds
 are not ``==`` because live-out pseudo-uses get fresh uids per
@@ -15,7 +13,6 @@ build).
 
 import pytest
 
-import repro.deps.vector as vector_mod
 from repro.core.parallel_interference import build_parallel_interference_graph
 from repro.deps.bitset import DependenceBitKernel
 from repro.deps.reference import reference_false_dependence_graph
@@ -29,7 +26,6 @@ from repro.deps.vector import (
     rows_from_hex,
     rows_to_hex,
     unpack_rows,
-    vector_backend,
     web_pair_hits,
 )
 from repro.analysis.regions import schedule_regions
@@ -102,22 +98,6 @@ def test_vector_kernel_matches_bitset_and_reference(preset):
 
 
 @pytest.mark.parametrize("preset", MACHINES)
-def test_portable_backend_matches_numpy_rows(preset, monkeypatch):
-    machine = preset()
-    fn = random_block(RandomBlockConfig(size=24, window=5, seed=7))
-    sg = build_schedule_graph(fn.entry.instructions, machine=machine)
-    fast = VectorDependenceKernel.build(sg, machine)
-    monkeypatch.setattr(vector_mod, "HAVE_NUMPY", False)
-    slow = VectorDependenceKernel.build(sg, machine)
-    assert slow.backend == "portable"
-    assert slow.packed_ef is None
-    assert slow.reach_rows == fast.reach_rows
-    assert slow.et_rows == fast.et_rows
-    assert slow.ef_rows == fast.ef_rows
-    assert vector_backend() == "portable"
-
-
-@pytest.mark.parametrize("preset", MACHINES)
 def test_pig_vector_engine_agrees(preset):
     """Same web-index edges with the same EdgeOrigin flags as both
     other engines, fuzz corpus wide."""
@@ -131,19 +111,6 @@ def test_pig_vector_engine_agrees(preset):
         context = "workload={} machine={}".format(label, machine.name)
         assert _edge_signature(vector) == _edge_signature(bitset), context
         assert _edge_signature(vector) == _edge_signature(reference), context
-
-
-def test_pig_vector_engine_agrees_portable(monkeypatch):
-    """The no-numpy fallback splice takes the probing path and still
-    produces the identical graph."""
-    machine = two_unit_superscalar()
-    fn = diamond_chain(num_diamonds=3, block_size=10, seed=5)
-    reference = build_parallel_interference_graph(
-        fn, machine, engine="reference"
-    )
-    monkeypatch.setattr(vector_mod, "HAVE_NUMPY", False)
-    vector = build_parallel_interference_graph(fn, machine, engine="vector")
-    assert _edge_signature(vector) == _edge_signature(reference)
 
 
 @pytest.mark.parametrize("preset", MACHINES)
@@ -174,15 +141,14 @@ def test_degenerate_regions(preset):
 def test_pack_unpack_roundtrip():
     rows = [0, 1, (1 << 64) | 5, (1 << 130) - 1]
     n = 131
-    if vector_mod.HAVE_NUMPY:
-        packed = pack_rows(rows, n)
-        assert list(unpack_rows(packed, n)) == rows
+    packed = pack_rows(rows, n)
+    assert list(unpack_rows(packed, n)) == rows
     assert rows_from_hex(rows_to_hex(rows)) == rows
 
 
-def test_web_pair_hits_matches_big_int_scan(monkeypatch):
-    """The vectorized projection, its as_arrays variant, and the
-    portable scan all agree with a brute-force big-int reference."""
+def test_web_pair_hits_matches_big_int_scan():
+    """The vectorized projection and its as_arrays variant agree with
+    a brute-force big-int reference."""
     machine = two_unit_superscalar()
     fn = random_block(RandomBlockConfig(size=40, window=6, seed=11))
     sg = build_schedule_graph(fn.entry.instructions, machine=machine)
@@ -203,6 +169,3 @@ def test_web_pair_hits_matches_big_int_scan(monkeypatch):
     assert [list(hits) for hits in fast] == expected
     as_arrays = web_pair_hits(kernel.ef_rows, masks, n, as_arrays=True)
     assert [list(hits) for hits in as_arrays] == expected
-    monkeypatch.setattr(vector_mod, "HAVE_NUMPY", False)
-    portable = web_pair_hits(kernel.ef_rows, masks, n)
-    assert [list(hits) for hits in portable] == expected

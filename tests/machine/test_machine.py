@@ -5,7 +5,11 @@ import pytest
 
 from repro.ir.builder import BlockBuilder
 from repro.ir.opcodes import Opcode, UnitKind
-from repro.machine.model import MachineDescription
+from repro.machine.model import (
+    MachineDescription,
+    machine_from_wire,
+    machine_to_wire,
+)
 from repro.machine.presets import (
     ALL_PRESETS,
     example1_machine,
@@ -213,3 +217,13 @@ class TestPresets:
 
     def test_rs6000_superscalar(self):
         assert rs6000().issue_width >= 2
+
+
+class TestWire:
+    def test_machine_roundtrip(self):
+        for preset in (single_issue, two_unit_superscalar):
+            machine = preset()
+            clone = machine_from_wire(machine_to_wire(machine))
+            assert clone.name == machine.name
+            assert clone.num_registers == machine.num_registers
+            assert clone.units == machine.units

@@ -145,11 +145,8 @@ class TestVectorRung:
         assert outcome.report.status == "ok"
 
     def test_auto_resolves_to_a_concrete_engine(self, machine):
-        from repro.deps.vector import HAVE_NUMPY
-
         driver = CompilationDriver(machine, config=DriverConfig(engine="auto"))
-        expected = "vector" if HAVE_NUMPY else "bitset"
-        assert driver.config.engine == expected
+        assert driver.config.engine == "vector"
 
     def test_fault_degrades_to_bitset_engine(self, machine):
         driver = CompilationDriver(
@@ -189,31 +186,6 @@ class TestVectorRung:
 
         with pytest.raises(InputError):
             CompilationDriver(machine, config=DriverConfig(engine="simd"))
-
-    def test_negative_shards_rejected(self, machine):
-        from repro.utils.errors import InputError
-
-        with pytest.raises(InputError):
-            CompilationDriver(machine, config=DriverConfig(pig_shards=-1))
-
-    def test_sharded_vector_compile_matches_inprocess(self, machine):
-        from repro.service.shard import shutdown_shared_pool
-
-        try:
-            sharded = CompilationDriver(
-                machine,
-                config=DriverConfig(engine="vector", pig_shards=2),
-            ).compile_function(example1())
-            assert sharded.ok
-            inproc = CompilationDriver(
-                machine, config=DriverConfig(engine="vector")
-            ).compile_function(example1())
-            assert sharded.result.registers_used == (
-                inproc.result.registers_used
-            )
-            assert sharded.result.cycles == inproc.result.cycles
-        finally:
-            shutdown_shared_pool()
 
 
 class TestColorRung:

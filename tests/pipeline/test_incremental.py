@@ -9,7 +9,6 @@ from repro.cache import CompileCache
 from repro.core.parallel_interference import (
     build_parallel_interference_graph,
 )
-from repro.deps.vector import HAVE_NUMPY
 from repro.ir.builder import BlockBuilder
 from repro.ir.printer import format_function
 from repro.machine.presets import two_unit_superscalar, wide_issue
@@ -78,7 +77,6 @@ class TestBitIdenticalComposition:
     def test_bitset_equivalence(self, label, make_fn, make_machine):
         _assert_equivalent(make_fn(), make_machine(), "bitset")
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vector engine needs numpy")
     def test_vector_equivalence(self):
         _assert_equivalent(diamond_chain(3, 10, seed=2), wide_issue(), "vector")
 
@@ -110,24 +108,6 @@ class TestBitIdenticalComposition:
                 fn, machine, cache, use_regions=False, engine="bitset"
             )
             assert _pig_signature(reference) == _pig_signature(incr)
-
-    def test_pooled_miss_fanout_matches(self):
-        # shards >= 2 routes cold misses over the warm worker pool.
-        from repro.service.shard import shutdown_shared_pool
-
-        fn = diamond_chain(4, 10, seed=9)
-        machine = wide_issue()
-        reference = build_parallel_interference_graph(
-            fn, machine, engine="bitset"
-        )
-        cache = CompileCache(capacity=256)
-        try:
-            pooled = build_incremental_pig(
-                fn, machine, cache, engine="bitset", shards=2
-            )
-        finally:
-            shutdown_shared_pool()
-        assert _pig_signature(reference) == _pig_signature(pooled)
 
     def test_cached_fdg_matches_direct(self):
         from repro.analysis.regions import schedule_regions

@@ -88,8 +88,7 @@ class TestKernelCallback:
 
 class TestVectorKernelCallback:
     """The vector engine keeps the stride-64 poll contract: its
-    level-batched closure loops call ``check_deadline`` mid-build on
-    both backends."""
+    level-batched closure loops call ``check_deadline`` mid-build."""
 
     def test_callback_is_polled(self, sg, machine):
         from repro.deps.vector import VectorDependenceKernel
@@ -109,15 +108,6 @@ class TestVectorKernelCallback:
 
         with pytest.raises(BudgetExceededError):
             VectorDependenceKernel.build(sg, machine, check_deadline=_expired)
-
-    def test_portable_backend_polls_too(self, sg, machine, monkeypatch):
-        import repro.deps.vector as vector_mod
-
-        monkeypatch.setattr(vector_mod, "HAVE_NUMPY", False)
-        with pytest.raises(BudgetExceededError):
-            vector_mod.VectorDependenceKernel.build(
-                sg, machine, check_deadline=_expired
-            )
 
     def test_vector_pig_build_forwards(self, machine):
         with pytest.raises(BudgetExceededError):

@@ -20,7 +20,6 @@ from repro.regalloc.compact import (
     compact_chaitin_color,
     compact_classic_h,
     compact_graph_from_nx,
-    region_interference_rows,
 )
 from repro.regalloc.interference import build_interference_graph
 from repro.utils.errors import AllocationError
@@ -79,31 +78,6 @@ def test_to_reference_round_trip():
     compact = build_compact_interference(fn)
     ref = build_interference_graph(fn)
     assert compact.to_reference().edge_list() == ref.edge_list()
-
-
-def test_collect_edges_false_builds_edgeless_skeleton():
-    fn = example2()
-    skeleton = build_compact_interference(fn, collect_edges=False)
-    full = build_compact_interference(fn)
-    assert skeleton.graph.number_of_edges() == 0
-    assert [w.index for w in skeleton.webs] == [w.index for w in full.webs]
-    for web in full.webs:
-        assert len(skeleton.intervals_of[web]) == len(
-            full.intervals_of[full.webs[web.index]]
-        )
-
-
-@pytest.mark.parametrize("fn", [example2(), figure6_diamond()],
-                         ids=lambda f: f.name)
-def test_region_rows_union_is_whole_graph(fn):
-    whole = build_compact_interference(fn)
-    union = [0] * whole.graph.n
-    for block in fn.blocks():
-        rows, _intervals = region_interference_rows(fn, (block.name,))
-        assert len(rows) == whole.graph.n
-        for i, row in enumerate(rows):
-            union[i] |= row
-    assert union == whole.graph.adj
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -244,6 +245,45 @@ class TestEndpoints:
         })
         assert status == 200
         assert doc["status"] == "deadline-exceeded"
+
+    def test_deadline_spent_inside_the_worker(self, server):
+        # The stall outlasts the deadline after dispatch, so the
+        # driver aborts on the time_budget the deadline became.
+        srv, base = server(allow_request_faults=True)
+        status, doc = post(base, "/submit", {
+            "name": "t", "text": SOURCE, "deadline_s": 0.08,
+            "faults": "phase.color:stall=0.15", "wait": True,
+        })
+        assert status == 200
+        assert doc["status"] == "deadline-exceeded"
+        breaker = srv.dispatcher.breaker.snapshot()
+        assert all(st["total_failures"] == 0 for st in breaker.values())
+
+    def test_response_ends_with_fin(self, server):
+        # The first request of a fresh server forks its pool worker
+        # while the connection is open, so the worker inherits the
+        # socket: only an explicit FIN lets a client read to EOF.
+        srv, _ = server(pool_size=1)
+        body = json.dumps(
+            {"name": "t", "text": SOURCE, "wait": True}
+        ).encode("utf-8")
+        request = (
+            "POST /submit HTTP/1.1\r\nHost: localhost\r\n"
+            "Content-Length: {}\r\n\r\n".format(len(body))
+        ).encode("latin-1") + body
+        chunks = []
+        with socket.create_connection(
+            ("127.0.0.1", srv.bound_port), timeout=5.0
+        ) as sock:
+            sock.sendall(request)
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert json.loads(payload)["status"] == "ok"
 
 
 # ----------------------------------------------------------------------

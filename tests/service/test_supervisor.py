@@ -309,6 +309,51 @@ class TestSupervisionLoop:
         assert time.monotonic() - start < 30.0
 
 
+def _running(pid):
+    """True while *pid* exists and is not a zombie."""
+    try:
+        with open("/proc/{}/stat".format(pid)) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestProcessGroupReaping:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="needs /proc"
+    )
+    def test_crash_reaps_the_servers_process_group(self, tmp_path):
+        """A long-running grandchild (a pool worker in a long task)
+        must not outlive the server that forked it."""
+        ledger = str(tmp_path / "run.jsonl")
+        RunLedger(ledger).close()
+        pid_file = str(tmp_path / "grandchild.pid")
+
+        class _ForkThenCrash(_FakeChildSupervisor):
+            def _child_argv(self):
+                if self._behaviors:
+                    self._behaviors.pop(0)
+                    return [sys.executable, "-c", (
+                        "import os, subprocess, sys\n"
+                        "p = subprocess.Popen([sys.executable, '-c', "
+                        "'import time; time.sleep(60)'])\n"
+                        "with open(%r, 'w') as f:\n"
+                        "    f.write(str(p.pid))\n"
+                        "os._exit(3)\n"
+                    ) % pid_file]
+                return super()._child_argv()
+
+        supervisor = _ForkThenCrash(ledger, ["fork"], restart_budget=1)
+        assert supervisor.run(install_signal_handlers=False) == 0
+        assert supervisor.restarts == 1
+        with open(pid_file) as handle:
+            grandchild = int(handle.read())
+        deadline = time.monotonic() + 5.0
+        while _running(grandchild) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(grandchild)
+
+
 class TestPoisonAccounting:
     def test_counts_accumulate_across_crashes(self, tmp_path):
         ledger = str(tmp_path / "run.jsonl")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Benchmark the vectorized PIG kernel and the region-sharded build.
+"""Benchmark the vectorized PIG kernel against the bitset kernel.
 
-Two workload families, both emitted as bench_compare-compatible
+One workload, emitted as bench_compare-compatible
 ``{workload, phase, wall_s, ...}`` rows:
 
 * ``pig-n<SIZE>`` — one large straight-line region (default n=2048
@@ -16,16 +16,6 @@ Two workload families, both emitted as bench_compare-compatible
   spike on a busy machine hits both phases instead of skewing the
   ratio.  The PR-6 floor: the vector engine must be >= 3x faster
   than bitset on the same run (``pig_vector/pig_bitset <= 0.3333``).
-* ``pig-shard-d<D>`` — a diamond-chain function with many scheduling
-  regions.  Phase ``shard_local`` is the in-process vector build;
-  ``shard_w<K>`` rows run :func:`repro.service.shard.build_sharded_pig`
-  over a K-worker pool (each K gets a fresh pool so spawn cost is
-  visible and runs are independent).  Sharded outputs are also checked
-  bit-identical to the local build.  These rows record scaling with
-  worker count for the committed artifact; no floor is enforced on
-  them — per-region kernel work must outweigh process fan-out cost
-  (and the host must actually have the cores) before sharding wins,
-  so the honest numbers are machine-dependent.
 
 Run:  PYTHONPATH=src python tools/bench_pig.py -o BENCH_pig_current.json
       PYTHONPATH=src python tools/bench_pig.py --check
@@ -40,10 +30,7 @@ import time
 from repro.core.parallel_interference import build_parallel_interference_graph
 from repro.machine.presets import two_unit_superscalar
 from repro.pipeline.driver import _pig_signature
-from repro.service.pool import WorkerPool
-from repro.service.shard import build_sharded_pig
 from repro.workloads import RandomBlockConfig, random_block
-from repro.workloads.generator import diamond_chain
 
 #: PR-6 acceptance floor: vector must be >= 3x faster than bitset on
 #: the large-region workload, same run, same machine.
@@ -105,48 +92,6 @@ def bench_large_region(size, rows, repeats):
     return speedup
 
 
-def bench_sharded(diamonds, block_size, workers, rows):
-    """The multi-region workload: in-process vs K-worker sharded."""
-    machine = two_unit_superscalar()
-    fn = diamond_chain(num_diamonds=diamonds, block_size=block_size, seed=6)
-    n_instrs = sum(len(b) for b in fn.blocks())
-    workload = "pig-shard-d{}".format(diamonds)
-
-    wall_local, pig_local = timed(
-        lambda: build_parallel_interference_graph(fn, machine, engine="vector")
-    )
-    rows.append({
-        "workload": workload,
-        "phase": "shard_local",
-        "wall_s": round(wall_local, 6),
-        "n_instrs": n_instrs,
-    })
-    print("{:<12} {:<12} {:>9.3f}s".format(workload, "shard_local",
-                                           wall_local))
-    reference_sig = _pig_signature(pig_local)
-    for count in workers:
-        with WorkerPool(size=count) as pool:
-            wall, pig = timed(
-                lambda: build_sharded_pig(
-                    fn, machine, engine="vector", shards=count, pool=pool
-                )
-            )
-        if _pig_signature(pig) != reference_sig:
-            raise SystemExit(
-                "bench_pig: {}-worker sharded build disagrees with the "
-                "local build on {}".format(count, workload)
-            )
-        rows.append({
-            "workload": workload,
-            "phase": "shard_w{}".format(count),
-            "wall_s": round(wall, 6),
-            "n_instrs": n_instrs,
-            "workers": count,
-        })
-        print("{:<12} {:<12} {:>9.3f}s".format(
-            workload, "shard_w{}".format(count), wall))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -154,25 +99,9 @@ def main(argv=None) -> int:
         help="large-region instruction count (default 2048)",
     )
     parser.add_argument(
-        "--diamonds", type=int, default=24, metavar="D",
-        help="diamonds in the multi-region workload (default 24)",
-    )
-    parser.add_argument(
-        "--block-size", type=int, default=48, metavar="B",
-        help="instructions per diamond arm (default 48)",
-    )
-    parser.add_argument(
-        "--workers", type=int, nargs="+", default=[1, 2, 4],
-        metavar="K", help="pool sizes for the sharded rows",
-    )
-    parser.add_argument(
         "--repeats", type=int, default=4, metavar="R",
         help="take each phase's minimum wall time over R interleaved "
         "runs (default 4; noise robustness)",
-    )
-    parser.add_argument(
-        "--skip-shard", action="store_true",
-        help="emit only the vector-vs-bitset rows (fast CI mode)",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -192,25 +121,6 @@ def main(argv=None) -> int:
 
     rows = []
     speedup = bench_large_region(args.size, rows, args.repeats)
-    if not args.skip_shard:
-        # Sharding only has a rung for pool sizes >= 2; a w1 request
-        # is reported as the local build under the sharded label so
-        # the scaling table always has its serial anchor.
-        workers = sorted({max(1, k) for k in args.workers})
-        shard_workers = [k for k in workers if k >= 2]
-        machine_rows_before = len(rows)
-        bench_sharded(
-            args.diamonds, args.block_size, shard_workers, rows
-        )
-        if 1 in workers:
-            local_row = next(
-                r for r in rows[machine_rows_before:]
-                if r["phase"] == "shard_local"
-            )
-            w1 = dict(local_row)
-            w1["phase"] = "shard_w1"
-            w1["workers"] = 1
-            rows.append(w1)
 
     if args.output:
         with open(args.output, "w") as handle:
