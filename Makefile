@@ -1,6 +1,6 @@
 # Convenience targets for the repro toolchain.
 
-.PHONY: install test bench bench-check bench-batch bench-batch-check bench-pig bench-pig-check bench-incr bench-incr-check bench-backend bench-backend-check bench-serve bench-pytest batch-smoke pool-smoke trace-smoke serve-smoke chaos-smoke ledger-check obs-overhead figures examples ci all clean
+.PHONY: install test bench bench-check bench-batch bench-batch-check bench-incr bench-incr-check bench-backend bench-backend-check bench-serve bench-pytest batch-smoke pool-smoke trace-smoke serve-smoke chaos-smoke ledger-check obs-overhead figures examples ci all clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -34,20 +34,6 @@ bench-batch-check: bench-batch
 		--ratio-max batch-fuzz-200:pool_warm_cache/pool_cold=0.1 \
 		--ratio-max batch-fuzz-200:disk_warm/pool_cold=0.2
 
-# Time large-region PIG construction (vector vs bitset engine).  The
-# committed baseline is BENCH_pr6.json.
-bench-pig:
-	PYTHONPATH=src python tools/bench_pig.py -o BENCH_pig_current.json
-
-# The PR-6 machine-independent floor on a fresh run: the vectorized
-# engine must stay >= 3x faster than the bitset engine on the n=2048
-# region (same run, interleaved timing).
-bench-pig-check:
-	PYTHONPATH=src python tools/bench_pig.py --check \
-		-o BENCH_pig_current.json
-	PYTHONPATH=src python tools/bench_compare.py none BENCH_pig_current.json \
-		--ratio-max pig-n2048:pig_vector/pig_bitset=0.3334
-
 # The PR-9 edit-recompile loop: region kernels must replay from the
 # cache, so a one-region edit recompiles the region path >= 3x faster
 # than a cold sweep (and the end-to-end recompile >= 1.4x — global
@@ -72,10 +58,9 @@ bench-backend:
 # timing): compact must stay >= 3x faster than reference on the
 # interference and coloring phases of the n=2048 block (PR 10), and
 # the worklist pinter_color >= 5x faster than its frozen oracle on the
-# n=128 block (BENCH_pr14.json).  --skip-cfg keeps CI off the liveness
-# scaling rows, which carry no floor.
+# n=128 block (BENCH_pr14.json).
 bench-backend-check:
-	PYTHONPATH=src python tools/bench_backend.py --skip-cfg --check \
+	PYTHONPATH=src python tools/bench_backend.py --check \
 		-o BENCH_backend_current.json
 	PYTHONPATH=src python tools/bench_compare.py none BENCH_backend_current.json \
 		--ratio-max backend-n2048:interference_compact/interference_reference=0.3334 \
@@ -138,9 +123,11 @@ ledger-check:
 
 # Guard the near-zero-overhead claim: the same bench run with the
 # metrics registry installed must stay within 5% of the run without.
+# At n=256 the production rows (pig_construction, coloring) clear the
+# 5 ms --min-wall, so the gate checks the default compile path.
 obs-overhead:
-	PYTHONPATH=src python -m repro bench --sizes 64 --repeats 5 -o BENCH_obs_off.json > /dev/null
-	PYTHONPATH=src python -m repro bench --sizes 64 --repeats 5 --metrics -o BENCH_obs_on.json > /dev/null 2> /dev/null
+	PYTHONPATH=src python -m repro bench --sizes 256 --repeats 5 -o BENCH_obs_off.json > /dev/null
+	PYTHONPATH=src python -m repro bench --sizes 256 --repeats 5 --metrics -o BENCH_obs_on.json > /dev/null 2> /dev/null
 	PYTHONPATH=src python tools/bench_compare.py BENCH_obs_off.json BENCH_obs_on.json --threshold 0.05 --min-wall 0.005
 
 # Regenerate every paper figure/table with the printed artifacts.
@@ -161,8 +148,7 @@ ci:
 	PYTHONPATH=src python -m repro compile examples/smoke.src
 	PYTHONPATH=src python -m repro compile examples/smoke.src --paranoid --strategy all
 	PYTHONPATH=src python -m repro compile examples/smoke.src --inject-fault deps.bitset
-	PYTHONPATH=src python -m repro compile examples/smoke.src --pig-engine vector
-	PYTHONPATH=src python -m repro compile examples/smoke.src --pig-engine vector --inject-fault deps.vector
+	PYTHONPATH=src python -m repro compile examples/smoke.src --pig-engine reference
 	PYTHONPATH=src python -m repro compile examples/smoke.src --inject-fault core.pinter_color
 	PYTHONPATH=src python -m repro compile examples/smoke.src --inject-fault sched.augmented
 	PYTHONPATH=src python -m repro compile examples/smoke.src --backend reference
@@ -181,7 +167,6 @@ ci:
 	$(MAKE) ledger-check
 	$(MAKE) obs-overhead
 	$(MAKE) bench-batch-check
-	$(MAKE) bench-pig-check
 	$(MAKE) bench-incr-check
 	$(MAKE) bench-backend-check
 
@@ -191,6 +176,6 @@ clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true
 	rm -rf .pytest_cache .hypothesis *.egg-info src/*.egg-info
 	rm -f BENCH_current.json BENCH_obs_off.json BENCH_obs_on.json
-	rm -f BENCH_batch_current.json BENCH_pig_current.json
+	rm -f BENCH_batch_current.json
 	rm -f BENCH_serve_current.json BENCH_backend_current.json
 	rm -rf .ledger-check

@@ -16,14 +16,10 @@ from repro.analysis.dominators import (
 from repro.analysis.liveness import (
     LiveInterval,
     LivenessInfo,
-    LivenessRows,
-    RegisterIndex,
     block_live_intervals,
     live_variables,
-    live_variables_rows,
     max_register_pressure,
     per_instruction_liveness,
-    per_instruction_liveness_rows,
 )
 from repro.analysis.loops import (
     NaturalLoop,
@@ -55,11 +51,9 @@ __all__ = [
     "GenKillTransfer",
     "LiveInterval",
     "LivenessInfo",
-    "LivenessRows",
     "NaturalLoop",
     "ReachingInfo",
     "Region",
-    "RegisterIndex",
     "Web",
     "all_definitions",
     "back_edges",
@@ -69,12 +63,10 @@ __all__ = [
     "def_use_chains",
     "dominator_tree",
     "live_variables",
-    "live_variables_rows",
     "loop_nesting_depth",
     "max_register_pressure",
     "natural_loops",
     "per_instruction_liveness",
-    "per_instruction_liveness_rows",
     "plausible_pairs",
     "postdominator_tree",
     "reaching_at_uses",

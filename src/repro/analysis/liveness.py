@@ -255,176 +255,6 @@ def block_live_intervals(
     return intervals
 
 
-# ----------------------------------------------------------------------
-# Packed-bitrow dataflow path (the compact back-end's liveness layer)
-# ----------------------------------------------------------------------
-#
-# The set-based solver above allocates a frozenset per transfer step;
-# on large functions that is the whole cost of liveness.  The compact
-# path numbers every register once and represents each live set as one
-# big Python int (bit i = register i live), so a transfer step is two
-# word-parallel integer operations.  The rows are the substrate the
-# compact interference builder (:mod:`repro.regalloc.compact`)
-# consumes; :meth:`LivenessRows.to_info` converts back to the
-# reference representation for equivalence tests.
-
-
-@dataclass(frozen=True)
-class RegisterIndex:
-    """Dense, deterministic numbering of every register a function
-    mentions (defs, uses, and the declared live-in/live-out names).
-
-    Attributes:
-        registers: Registers in canonical order (sorted by ``str``).
-        position: Register → bit position.
-    """
-
-    registers: Tuple[Register, ...]
-    position: Dict[Register, int]
-
-    @classmethod
-    def build(cls, fn: Function) -> "RegisterIndex":
-        seen: Set[Register] = set(fn.live_out) | set(fn.live_in)
-        for block in fn.blocks():
-            for instr in block:
-                seen.update(instr.uses())
-                seen.update(instr.defs())
-        ordered = tuple(sorted(seen, key=str))
-        return cls(
-            registers=ordered,
-            position={reg: i for i, reg in enumerate(ordered)},
-        )
-
-    def __len__(self) -> int:
-        return len(self.registers)
-
-    def mask_of(self, registers) -> int:
-        """The bitmask with exactly *registers* set."""
-        mask = 0
-        position = self.position
-        for reg in registers:
-            mask |= 1 << position[reg]
-        return mask
-
-    def registers_of(self, mask: int) -> FrozenSet[Register]:
-        """The register set a row encodes."""
-        result = []
-        registers = self.registers
-        while mask:
-            lsb = mask & -mask
-            result.append(registers[lsb.bit_length() - 1])
-            mask ^= lsb
-        return frozenset(result)
-
-
-@dataclass
-class LivenessRows:
-    """Live-in/live-out bitrows per block (compact twin of
-    :class:`LivenessInfo`)."""
-
-    index: RegisterIndex
-    live_in: Dict[str, int]
-    live_out: Dict[str, int]
-
-    def to_info(self) -> LivenessInfo:
-        """Materialize the reference representation (equivalence
-        guard; also lets row-based callers feed set-based consumers)."""
-        return LivenessInfo(
-            live_in={
-                name: self.index.registers_of(mask)
-                for name, mask in self.live_in.items()
-            },
-            live_out={
-                name: self.index.registers_of(mask)
-                for name, mask in self.live_out.items()
-            },
-        )
-
-
-def block_use_def_masks(
-    block: BasicBlock, index: RegisterIndex
-) -> Tuple[int, int]:
-    """(upward-exposed-use row, def row) of *block* — the gen/kill
-    masks of the bitrow liveness transfer."""
-    use_mask = 0
-    def_mask = 0
-    position = index.position
-    for instr in block:
-        for reg in instr.uses():
-            bit = 1 << position[reg]
-            if not def_mask & bit:
-                use_mask |= bit
-        for reg in instr.defs():
-            def_mask |= 1 << position[reg]
-    return use_mask, def_mask
-
-
-def live_variables_rows(
-    fn: Function, index: Optional[RegisterIndex] = None
-) -> LivenessRows:
-    """Solve liveness over the CFG on packed bitrows.
-
-    Same fixpoint as :func:`live_variables` (union meet, gen/kill
-    transfer, function ``live_out`` injected at exit blocks), so
-    ``live_variables_rows(fn).to_info()`` equals ``live_variables(fn)``
-    — the equivalence suite pins exactly that.
-    """
-    if index is None:
-        index = RegisterIndex.build(fn)
-    blocks = fn.blocks()
-    gen: Dict[str, int] = {}
-    kill: Dict[str, int] = {}
-    for block in blocks:
-        gen[block.name], kill[block.name] = block_use_def_masks(block, index)
-
-    exit_names = {b.name for b in fn.exit_blocks()}
-    boundary = index.mask_of(fn.live_out)
-
-    live_in: Dict[str, int] = {b.name: 0 for b in blocks}
-    live_out: Dict[str, int] = {b.name: 0 for b in blocks}
-
-    # Same deterministic worklist discipline as solve_gen_kill: seeded
-    # in reverse layout order, FIFO with membership de-dup.
-    pending: List[str] = [b.name for b in reversed(blocks)]
-    queued: Set[str] = set(pending)
-    block_by_name = {b.name: b for b in blocks}
-    while pending:
-        name = pending.pop(0)
-        queued.discard(name)
-        block = block_by_name[name]
-        out_mask = boundary if name in exit_names else 0
-        for succ in fn.successors(block):
-            out_mask |= live_in[succ.name]
-        live_out[name] = out_mask
-        new_in = gen[name] | (out_mask & ~kill[name])
-        if new_in != live_in[name]:
-            live_in[name] = new_in
-            for pred in fn.predecessors(block):
-                if pred.name not in queued:
-                    pending.append(pred.name)
-                    queued.add(pred.name)
-    return LivenessRows(index=index, live_in=live_in, live_out=live_out)
-
-
-def per_instruction_liveness_rows(
-    block: BasicBlock, live_out_mask: int, index: RegisterIndex
-) -> List[int]:
-    """Bitrow twin of :func:`per_instruction_liveness`: ``result[i]``
-    is the mask of registers live immediately after instruction i."""
-    n = len(block.instructions)
-    result = [0] * n
-    position = index.position
-    live = live_out_mask
-    for idx in range(n - 1, -1, -1):
-        result[idx] = live
-        instr = block.instructions[idx]
-        for reg in instr.defs():
-            live &= ~(1 << position[reg])
-        for reg in instr.uses():
-            live |= 1 << position[reg]
-    return result
-
-
 def max_register_pressure(
     block: BasicBlock, live_out: FrozenSet[Register] = frozenset()
 ) -> int:

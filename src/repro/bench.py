@@ -47,7 +47,6 @@ DEFAULT_SIZES = (8, 16, 32, 64, 128, 256)
 #: Phase name → benchmark callable factory; see :func:`_phase_thunks`.
 PHASES = (
     "pig_construction",
-    "pig_construction_vector",
     "pig_construction_reference",
     "closure",
     "closure_reference",
@@ -73,9 +72,6 @@ def _phase_thunks(
     return {
         "pig_construction": lambda: build_parallel_interference_graph(
             fn, machine, engine="bitset"
-        ),
-        "pig_construction_vector": lambda: build_parallel_interference_graph(
-            fn, machine, engine="vector"
         ),
         "pig_construction_reference": lambda: build_parallel_interference_graph(
             fn, machine, engine="reference"

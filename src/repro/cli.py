@@ -345,18 +345,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
         cache = CompileCache(directory=args.cache_dir)
 
-    engine = args.engine
-    if engine == "auto":
-        # Resolve here so the circuit breaker keys and worker payloads
-        # all see the concrete rung name.
-        engine = "vector"
     config = DriverConfig(
         strict=args.strict,
         paranoid=args.paranoid,
         max_instrs=args.max_instrs,
         time_budget=args.time_budget,
         optimize=args.optimize,
-        engine=engine,
+        engine=args.engine,
         region_cache=_region_cache_enabled(args),
         region_cache_dir=args.region_cache_dir,
         backend="compact" if args.backend == "auto" else args.backend,
@@ -513,16 +508,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
         cache = CompileCache(directory=args.cache_dir)
 
-    engine = args.engine
-    if engine == "auto":
-        engine = "vector"
     config = DriverConfig(
         strict=args.strict,
         paranoid=args.paranoid,
         max_instrs=args.max_instrs,
         time_budget=args.time_budget,
         optimize=args.optimize,
-        engine=engine,
+        engine=args.engine,
         region_cache=_region_cache_enabled(args),
         region_cache_dir=args.region_cache_dir,
         backend="compact" if args.backend == "auto" else args.backend,
@@ -833,16 +825,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument(
         "--time-budget", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget for each strategy run, checked at "
-        "phase boundaries and inside the dependence kernel "
+        "phase boundaries and polled inside each long phase "
         "(exit 1 when exhausted)",
     )
     p_compile.add_argument(
         "--pig-engine",
-        choices=("auto", "vector", "bitset", "reference"),
+        choices=("bitset", "reference"),
         default="bitset",
-        help="primary dependence engine for PIG construction: 'vector' "
-        "is the packed-uint64 kernel (degrades vector->bitset->"
-        "reference), 'auto' resolves to vector",
+        help="primary dependence engine for PIG construction: 'bitset' "
+        "is the word-parallel kernel (degrades to reference), "
+        "'reference' the set-based oracle",
     )
     p_compile.add_argument(
         "--backend",
@@ -958,10 +950,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--engine",
-        choices=("auto", "vector", "bitset", "reference"),
+        choices=("bitset", "reference"),
         default="bitset",
-        help="primary dependence engine rung ('auto' resolves to "
-        "vector)",
+        help="primary dependence engine rung (bitset degrades to "
+        "reference)",
     )
     p_batch.add_argument(
         "--backend",
@@ -1116,10 +1108,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--engine",
-        choices=("auto", "vector", "bitset", "reference"),
+        choices=("bitset", "reference"),
         default="bitset",
-        help="primary dependence engine rung ('auto' resolves to "
-        "vector)",
+        help="primary dependence engine rung (bitset degrades to "
+        "reference)",
     )
     p_serve.add_argument(
         "--backend",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -172,42 +172,6 @@ class ParallelInterferenceGraph:
         return clone
 
 
-def _project_false_pairs_to_webs(
-    fdg: FalseDependenceGraph,
-    def_to_web: Dict[DefPoint, Web],
-) -> Set[Tuple[Web, Web]]:
-    """Map instruction-level E_f pairs to web pairs (defs only; nodes
-    like stores and branches have no value to allocate and only appear
-    in the augmented graph).
-
-    On the bitset path each web gets a mask of its defining
-    instructions' positions; two webs are connected iff the OR of one
-    web's E_f rows intersects the other's definition mask — pure word
-    ops, never materializing E_f tuples.  The reference path iterates
-    the tuple set (:mod:`repro.deps.reference`).
-    """
-    kernel = fdg.kernel
-    if kernel is None:
-        from repro.deps.reference import reference_project_false_pairs_to_webs
-
-        return reference_project_false_pairs_to_webs(fdg, def_to_web)
-
-    pairs: Set[Tuple[Web, Web]] = set()
-    webs, masks = _web_def_masks(kernel, def_to_web)
-    ef_rows = kernel.ef_rows
-    count = len(webs)
-    for a, web_u in enumerate(webs):
-        neighbor_mask = 0
-        for i in iter_bits(masks[a]):
-            neighbor_mask |= ef_rows[i]
-        if not neighbor_mask:
-            continue
-        for b in range(a + 1, count):
-            if neighbor_mask & masks[b]:
-                pairs.add((web_u, webs[b]))
-    return pairs
-
-
 def _web_def_masks(
     kernel, def_to_web: Dict[DefPoint, Web]
 ) -> Tuple[List[Web], List[int]]:
@@ -257,136 +221,6 @@ def _splice_false_edges(
                     adj[web_v][web_u] = data
                 else:
                     data["origin"] |= false_flag
-
-
-def _splice_false_edges_vector(
-    kernel,
-    def_to_web: Dict[DefPoint, Web],
-    graph: nx.Graph,
-    inter_graph: nx.Graph,
-    check_deadline=None,
-) -> None:
-    """Vectorized variant of :func:`_splice_false_edges`: pair
-    detection runs on the kernel's packed uint64 E_f matrix
-    (:func:`repro.deps.vector.web_pair_hits`), insertion shares one
-    attribute dict across all false-only edges of the call and goes
-    through C-speed ``dict.fromkeys`` + ``update`` bulk writes.
-
-    Sharing one dict is safe because false-only origins are only ever
-    *read* after construction (interference-overlap edges get
-    ``origin`` OR-ed into their private dict instead), and
-    ``Graph.copy()`` gives every edge a fresh dict.  A false edge seen
-    again from a later region overwrites (both directions, so they
-    stay consistent) with an equal-valued dict — a no-op by value.
-
-    *inter_graph* is the function's E_r graph over webs; its (few)
-    edges are the only entries that may need the OR treatment, so the
-    common all-fresh row skips the per-key existence probing entirely.
-    """
-    from repro.deps.vector import web_pair_hits
-
-    webs, masks = _web_def_masks(kernel, def_to_web)
-    if len(webs) < 2:
-        return
-    hits = web_pair_hits(
-        kernel.ef_rows,
-        masks,
-        len(kernel.index),
-        packed_ef=getattr(kernel, "packed_ef", None),
-        check_deadline=check_deadline,
-        as_arrays=True,
-    )
-    ordinal = {web: i for i, web in enumerate(webs)}
-    inter_sets: Dict[int, set] = {}
-    for web_a, web_b in inter_graph.edges():
-        a = ordinal.get(web_a)
-        b = ordinal.get(web_b)
-        if a is None or b is None:
-            continue
-        if a > b:
-            a, b = b, a
-        inter_sets.setdefault(a, set()).add(b)
-    false_flag = EdgeOrigin.FALSE
-    _insert_false_rows_numpy(
-        hits, webs, graph._adj, inter_sets, {"origin": false_flag},
-        false_flag, check_deadline,
-    )
-
-
-def _insert_false_rows_numpy(
-    hits,
-    webs: List[Web],
-    adj,
-    inter_sets: Dict[int, set],
-    shared: dict,
-    false_flag: EdgeOrigin,
-    check_deadline=None,
-) -> None:
-    """Numpy-batched insertion of the false-edge hit lists into the
-    graph adjacency *adj* (the hot half of the vector splice).
-
-    The forward direction (row ``a`` gains every matched ``b``) is
-    already grouped by ``a``; the reverse direction used to pay one
-    interpreted dict store per edge.  Here all (a, b) ordinal pairs
-    are accumulated as int arrays, stably argsorted by ``b``, and each
-    target row then takes a single C-speed ``dict.fromkeys``+``update``
-    over an object-array fancy-indexed slice — per-row work instead of
-    per-edge work.  E_r-overlap pairs (the only preexisting edges)
-    were already OR-ed and excluded, so every batched key is fresh.
-    """
-    import numpy as np
-
-    webs_obj = np.array(webs, dtype=object)
-    a_chunks = []
-    b_chunks = []
-    stride = 0
-    for a, matched in enumerate(hits):
-        if len(matched) == 0:
-            continue
-        stride += 1
-        if check_deadline is not None and not stride % 64:
-            check_deadline()
-        b_arr = np.asarray(matched, dtype=np.intp)
-        inter = inter_sets.get(a)
-        if inter:
-            inter_arr = np.fromiter(inter, dtype=np.intp, count=len(inter))
-            overlap = np.isin(b_arr, inter_arr)
-            if overlap.any():
-                row_u = adj[webs[a]]
-                for b in b_arr[overlap].tolist():
-                    row_u[webs[b]]["origin"] |= false_flag
-                b_arr = b_arr[~overlap]
-                if b_arr.size == 0:
-                    continue
-        a_chunks.append(np.full(b_arr.size, a, dtype=np.intp))
-        b_chunks.append(b_arr)
-        web_u = webs[a]
-        fresh = dict.fromkeys(webs_obj[b_arr].tolist(), shared)
-        # An empty adjacency row can take the fromkeys dict wholesale
-        # (plain nx.Graph rows are unaliased), skipping the copy pass.
-        if adj[web_u]:
-            adj[web_u].update(fresh)
-        else:
-            adj[web_u] = fresh
-    if not b_chunks:
-        return
-    all_a = np.concatenate(a_chunks)
-    all_b = np.concatenate(b_chunks)
-    order = np.argsort(all_b, kind="stable")
-    all_a = all_a[order]
-    all_b = all_b[order]
-    boundaries = np.flatnonzero(all_b[1:] != all_b[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(all_b)]))
-    for i, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
-        if check_deadline is not None and not (i + 1) % 64:
-            check_deadline()
-        web_v = webs[all_b[s]]
-        fresh = dict.fromkeys(webs_obj[all_a[s:e]].tolist(), shared)
-        if adj[web_v]:
-            adj[web_v].update(fresh)
-        else:
-            adj[web_v] = fresh
 
 
 def _insert_edges_fast(graph: nx.Graph, edges, origin: EdgeOrigin) -> None:
@@ -441,11 +275,10 @@ def build_parallel_interference_graph(
             extension).  With False, each block is its own region
             (classic per-basic-block operation).
         engine: ``"bitset"`` (default) runs the word-parallel
-            dependence kernel; ``"vector"`` runs the packed-uint64
-            kernel (:mod:`repro.deps.vector`) with the vectorized web
-            splice; ``"reference"`` runs the retained set-based
-            pipeline (:mod:`repro.deps.reference`) — same output, used
-            by the equivalence suite and ``repro bench``.
+            dependence kernel; ``"reference"`` runs the retained
+            set-based pipeline (:mod:`repro.deps.reference`) — same
+            output, used by the equivalence suite, the paranoid
+            cross-check and ``repro bench``.
         check_deadline: Optional zero-argument callback polled between
             regions and inside the kernels' closure loops; it raises
             to preempt the build when the driver's wall-clock budget
@@ -454,7 +287,7 @@ def build_parallel_interference_graph(
             on bitrows (identical edges, bulk-inserted); ``"reference"``
             keeps the classic builder.
     """
-    if engine not in ("vector", "bitset", "reference"):
+    if engine not in ("bitset", "reference"):
         raise AllocationError("unknown PIG engine {!r}".format(engine))
     interference = interference_for_backend(fn, backend)
     def_to_web = web_of_definition(interference.webs)
@@ -469,12 +302,9 @@ def build_parallel_interference_graph(
 
     graph = nx.Graph()
     graph.add_nodes_from(interference.webs)
-    interference_edges = list(interference.graph.edges())
-    if engine in ("vector", "bitset"):
-        _insert_edges_fast(graph, interference_edges, EdgeOrigin.INTERFERENCE)
-    else:
-        for a, b in interference_edges:
-            graph.add_edge(a, b, origin=EdgeOrigin.INTERFERENCE)
+    _insert_edges_fast(
+        graph, list(interference.graph.edges()), EdgeOrigin.INTERFERENCE
+    )
 
     false_graphs: List[FalseDependenceGraph] = []
     for region in regions:
@@ -483,25 +313,23 @@ def build_parallel_interference_graph(
         sg = region_schedule_graph(fn, region.blocks, machine=machine)
         if not sg.instructions:
             continue
-        if engine in ("vector", "bitset"):
+        if engine == "bitset":
             fdg = false_dependence_graph(
-                sg, machine, check_deadline=check_deadline, engine=engine
+                sg, machine, check_deadline=check_deadline
             )
-        else:
-            from repro.deps.reference import reference_false_dependence_graph
-
-            fdg = reference_false_dependence_graph(sg, machine)
-        false_graphs.append(fdg)
-        if engine == "vector":
-            _splice_false_edges_vector(
-                fdg.kernel, def_to_web, graph,
-                check_deadline=check_deadline,
-                inter_graph=interference.graph,
-            )
-        elif engine == "bitset":
+            false_graphs.append(fdg)
             _splice_false_edges(fdg.kernel, def_to_web, graph)
         else:
-            projected = _project_false_pairs_to_webs(fdg, def_to_web)
+            from repro.deps.reference import (
+                reference_false_dependence_graph,
+                reference_project_false_pairs_to_webs,
+            )
+
+            fdg = reference_false_dependence_graph(sg, machine)
+            false_graphs.append(fdg)
+            projected = reference_project_false_pairs_to_webs(
+                fdg, def_to_web
+            )
             for web_a, web_b in projected:
                 if graph.has_edge(web_a, web_b):
                     graph.edges[web_a, web_b]["origin"] |= EdgeOrigin.FALSE

@@ -1,20 +1,11 @@
 """Dependence analysis: data dependences, the schedule graph G_s,
-its transitive closure (bitset and vectorized kernels), and the
-false-dependence graph G_f."""
+its transitive closure (the bitset kernel, with the set-based
+reference pipeline as its oracle), and the false-dependence graph
+G_f."""
 
 from repro.deps.bitset import (
     DependenceBitKernel,
     InstructionIndex,
-)
-from repro.deps.vector import (
-    VectorDependenceKernel,
-    WORD_BITS,
-    pack_rows,
-    rows_from_hex,
-    rows_to_hex,
-    unpack_rows,
-    web_pair_hits,
-    words_for,
 )
 from repro.deps.datadeps import (
     Dependence,
@@ -65,8 +56,6 @@ __all__ = [
     "FalseDependenceGraph",
     "InstructionIndex",
     "ScheduleGraph",
-    "VectorDependenceKernel",
-    "WORD_BITS",
     "all_dependences",
     "block_false_dependence_graph",
     "block_schedule_graph",
@@ -78,7 +67,6 @@ __all__ = [
     "latest_start_times",
     "memory_dependences",
     "ordered_pair",
-    "pack_rows",
     "reachability",
     "reachability_rows",
     "reference_contention_pairs",
@@ -87,13 +75,8 @@ __all__ = [
     "reference_transitive_closure_pairs",
     "region_schedule_graph",
     "register_dependences",
-    "rows_from_hex",
-    "rows_to_hex",
     "schedule_times",
     "slack",
     "transit_dependence_pairs",
     "transitive_closure_pairs",
-    "unpack_rows",
-    "web_pair_hits",
-    "words_for",
 ]

@@ -173,28 +173,18 @@ def false_dependence_graph(
     sg: ScheduleGraph,
     machine: MachineDescription,
     check_deadline=None,
-    engine: str = "bitset",
 ) -> FalseDependenceGraph:
     """Derive G_f from a symbolic-register schedule graph and machine.
 
     Follows the paper's recipe: transitive closure of G_s, directions
     removed, machine contention pairs added, then complemented — all
-    in bitrow form via :meth:`DependenceBitKernel.build` (*engine*
-    ``"bitset"``, the default) or the packed-uint64
-    :meth:`~repro.deps.vector.VectorDependenceKernel.build` (*engine*
-    ``"vector"``).  *check_deadline* is forwarded to the kernel so an
-    expired wall-clock budget preempts the closure loops mid-phase.
+    in bitrow form via :meth:`DependenceBitKernel.build`.
+    *check_deadline* is forwarded to the kernel so an expired
+    wall-clock budget preempts the closure loops mid-phase.
     """
-    if engine == "vector":
-        from repro.deps.vector import VectorDependenceKernel
-
-        kernel = VectorDependenceKernel.build(
-            sg, machine, check_deadline=check_deadline
-        )
-    else:
-        kernel = DependenceBitKernel.build(
-            sg, machine, check_deadline=check_deadline
-        )
+    kernel = DependenceBitKernel.build(
+        sg, machine, check_deadline=check_deadline
+    )
     return FalseDependenceGraph(
         instructions=list(sg.instructions),
         schedule_graph=sg,

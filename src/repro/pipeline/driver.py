@@ -13,8 +13,7 @@ deadline), records :class:`Diagnostic` entries into a
 ==============  ============================  ===========================
 phase           primary                       fallback
 ==============  ============================  ===========================
-``pig``         vector/bitset dep. kernel     next ladder rung (bitset,
-                                              then reference engine)
+``pig``         bitset dependence kernel      reference engine
 ``color``       combined Pinter coloring      Chaitin with spilling
 ``schedule``    augmented (E_f-driven)        plain list scheduler
 ``opt``         optimization pipeline         unoptimized program
@@ -22,8 +21,8 @@ phase           primary                       fallback
 ==============  ============================  ===========================
 
 In ``--paranoid`` mode the ``pig`` phase additionally *cross-checks*
-each fast engine rung against the reference engine and degrades one
-rung on divergence.  In ``--strict`` mode the ladder is
+the bitset engine against the reference engine and degrades onto the
+reference rung on divergence.  In ``--strict`` mode the ladder is
 disabled: the first phase error fails the compile.
 
 Outcomes map to documented exit codes:
@@ -78,7 +77,6 @@ T = TypeVar("T")
 #: paranoid mode, divergence from the reference cross-check) falls
 #: through to the next; the last rung is non-recoverable.
 _ENGINE_LADDER: Dict[str, Tuple[str, ...]] = {
-    "vector": ("vector", "bitset", "reference"),
     "bitset": ("bitset", "reference"),
     "reference": ("reference",),
 }
@@ -247,25 +245,24 @@ class DriverConfig:
         max_instrs: Reject functions with more instructions (budget;
             exit 1).
         time_budget: Wall-clock seconds for the whole compile; checked
-            at phase boundaries and polled inside the bitset kernel's
-            closure loops, so a long dependence build is preempted
-            mid-phase.
+            at phase boundaries and polled inside the long phases
+            (per block in preschedule, per region in the PIG build and
+            the theorem-1 check, inside the bitset kernel's closure
+            loops and the coloring worklists), so a long phase is
+            preempted mid-phase.
         optimize: Run the optimization pipeline before allocation.
         use_regions: Build false-dependence graphs over scheduling
             regions (the global form).
         max_spill_rounds: Bound on spill-and-repeat iterations.
         engine: Primary dependence engine.  ``"bitset"`` (default)
-            degrades to ``"reference"``; ``"vector"`` (the packed
-            uint64 kernel, :mod:`repro.deps.vector`) degrades through
-            ``"bitset"`` to ``"reference"``; ``"reference"`` has no
-            rung below it.  ``"auto"`` resolves at driver construction
-            to ``"vector"`` (the resolved name is what the fingerprint
-            — and therefore the compile cache — sees).
+            degrades to ``"reference"``; ``"reference"`` has no rung
+            below it.
         region_cache: Serve per-region dependence kernels from the
             region-grain cache (:mod:`repro.pipeline.incremental`), so
             an edit-recompile loop pays only the edited regions.  Only
-            the primary engine rung consults it; degraded rungs and
-            fault-armed compiles always rebuild.
+            a primary ``"bitset"`` engine rung consults it; degraded
+            rungs, the reference engine and fault-armed compiles always
+            rebuild.
         region_cache_dir: On-disk root for the region cache (its
             ``region/`` namespace inside a shared ``--cache-dir`` is
             handled by the store); None keeps region kernels
@@ -532,8 +529,6 @@ class CompilationDriver:
             if not hasattr(cfg, key):
                 raise InputError("unknown driver option {!r}".format(key))
             setattr(cfg, key, value)
-        if cfg.engine == "auto":
-            cfg.engine = "vector"
         if cfg.engine not in _ENGINE_LADDER:
             raise InputError(
                 "unknown dependence engine {!r}".format(cfg.engine)
@@ -724,6 +719,7 @@ class CompilationDriver:
                 engine=meta.engine,
                 region_cache=self._region_cache(meta.engine),
                 config_fingerprint=self.config.fingerprint(),
+                check_deadline=guard.mid_phase_checker(),
             ),
         )
         self._judge_theorem1(report, meta, len(violations))
@@ -763,7 +759,10 @@ class CompilationDriver:
         self, work: Function, guard: PhaseGuard, report: CompileReport
     ) -> Function:
         def attempt() -> Function:
-            return preschedule_function(work.copy(), self.machine)
+            return preschedule_function(
+                work.copy(), self.machine,
+                check_deadline=guard.mid_phase_checker(),
+            )
 
         try:
             return guard.run("preschedule", attempt, recoverable=True)
@@ -781,23 +780,19 @@ class CompilationDriver:
         primary-rung successes" rule at region grain: the cache is
         consulted only for the config's **primary** engine (a ladder
         fallback rung is a degraded result that must not be stored or
-        replayed), only for engines with a wire-row kernel, and never
-        while fault injection is armed.
+        replayed), only for the bitset engine (the only one with a
+        wire-row kernel), and never while fault injection is armed.
         """
         cfg = self.config
         if (
             not cfg.region_cache
             or engine != cfg.engine
+            or engine != "bitset"
             or faults.active_specs()
         ):
             return None
-        from repro.pipeline.incremental import (
-            CACHEABLE_ENGINES,
-            region_cache_for,
-        )
+        from repro.pipeline.incremental import region_cache_for
 
-        if engine not in CACHEABLE_ENGINES:
-            return None
         return region_cache_for(cfg.region_cache_dir)
 
     # -- pig -----------------------------------------------------------
@@ -812,8 +807,7 @@ class CompilationDriver:
         """One PIG build with the engine ladder.
 
         The rung sequence comes from :data:`_ENGINE_LADDER`:
-        ``vector`` degrades through ``bitset`` to ``reference``,
-        ``bitset`` straight to ``reference``.  A rung fails on any
+        ``bitset`` degrades to ``reference``.  A rung fails on any
         phase error or — in paranoid mode — on divergence from the
         reference cross-check; in strict mode the first failure
         aborts.  Returns the graph plus the engine that actually
@@ -833,7 +827,7 @@ class CompilationDriver:
 
                 return build_incremental_pig(
                     work, self.machine, cache,
-                    use_regions=cfg.use_regions, engine=target,
+                    use_regions=cfg.use_regions,
                     config_fingerprint=cfg.fingerprint(),
                     check_deadline=mid_phase, backend=backend,
                 )
@@ -1051,14 +1045,13 @@ class CompilationDriver:
                     from repro.pipeline.incremental import cached_region_fdg
 
                     fdg = cached_region_fdg(
-                        sg, self.machine, engine, cache,
+                        sg, self.machine, cache,
                         config_fingerprint=config_fp,
                         check_deadline=mid_phase,
                     )
                 else:
                     fdg = false_dependence_graph(
-                        sg, self.machine, check_deadline=mid_phase,
-                        engine=engine,
+                        sg, self.machine, check_deadline=mid_phase
                     )
                 if backend == "compact":
                     schedule = compact_augmented_schedule(

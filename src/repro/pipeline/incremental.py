@@ -62,7 +62,6 @@ from repro.core.parallel_interference import (
     ParallelInterferenceGraph,
     _insert_edges_fast,
     _splice_false_edges,
-    _splice_false_edges_vector,
     interference_for_backend,
 )
 from repro.core.scheduling_value import region_value_rows
@@ -76,18 +75,12 @@ from repro.deps.global_deps import (
     transit_dependence_pairs,
 )
 from repro.deps.schedule_graph import ScheduleGraph, region_schedule_graph
-from repro.deps.vector import (
-    VectorDependenceKernel,
-    rows_from_hex,
-    rows_to_hex,
-)
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.ir.printer import format_instruction
 from repro.machine.model import MachineDescription
 from repro.obs import get_metrics, get_tracer
 from repro.utils import faults
-from repro.utils.errors import InputError
 
 #: Regions/blocks below this many instructions are built inline
 #: without touching the cache: the kernel build is cheaper than the
@@ -102,9 +95,11 @@ REGION_CACHE_CAPACITY = 4096
 #: The ``kind`` of a stored kernel report.
 PIG_REGION_KIND = "pig_region"
 
-#: Engines whose kernels have a wire-row form the region cache can
-#: store (the reference engine keeps pair sets, not rows).
-CACHEABLE_ENGINES = ("vector", "bitset")
+#: The engine component of every region key and stored report.  Only
+#: bitset kernels are cached (the reference engine keeps pair sets,
+#: not rows); the name stays in the key and report shapes so entries
+#: already on disk keep hitting.
+KERNEL_ENGINE = "bitset"
 
 
 # ----------------------------------------------------------------------
@@ -140,13 +135,23 @@ def reset_region_caches() -> None:
 # ----------------------------------------------------------------------
 
 
-def kernel_to_report(kernel, engine: str) -> Dict[str, object]:
+def rows_to_hex(rows: Sequence[int]) -> List[str]:
+    """Endianness-neutral wire form of big-int rows."""
+    return [format(row, "x") for row in rows]
+
+
+def rows_from_hex(texts: Sequence[str]) -> List[int]:
+    """Inverse of :func:`rows_to_hex`."""
+    return [int(text, 16) for text in texts]
+
+
+def kernel_to_report(kernel: DependenceBitKernel) -> Dict[str, object]:
     """One kernel's four row families as the ``pig_region`` report
     payload — hex wire rows, JSON-safe.  This is what the region cache
     stores."""
     return {
         "kind": PIG_REGION_KIND,
-        "engine": engine,
+        "engine": KERNEL_ENGINE,
         "n": len(kernel.index),
         "reach": rows_to_hex(kernel.reach_rows),
         "contention": rows_to_hex(kernel.contention_rows),
@@ -156,8 +161,8 @@ def kernel_to_report(kernel, engine: str) -> Dict[str, object]:
 
 
 def _kernel_from_report(
-    report: Dict[str, object], instructions: List[Instruction], engine: str
-):
+    report: Dict[str, object], instructions: List[Instruction]
+) -> Optional[DependenceBitKernel]:
     """Rebuild a kernel from wire rows over the caller's own
     instruction sequence, or ``None`` when the report does not
     type-check (the entry was read from disk — trust nothing
@@ -176,19 +181,8 @@ def _kernel_from_report(
             rows[key] = rows_from_hex(texts)
         except (TypeError, ValueError):
             return None
-    index = InstructionIndex(list(instructions))
-    if engine == "vector":
-        return VectorDependenceKernel(
-            index=index,
-            reach_rows=rows["reach"],
-            contention_rows=rows["contention"],
-            et_rows=rows["et"],
-            ef_rows=rows["ef"],
-            packed_ef=None,  # packed lazily by packed_ef_matrix()
-            backend="wire",
-        )
     return DependenceBitKernel(
-        index=index,
+        index=InstructionIndex(list(instructions)),
         reach_rows=rows["reach"],
         contention_rows=rows["contention"],
         et_rows=rows["et"],
@@ -196,7 +190,9 @@ def _kernel_from_report(
     )
 
 
-def _entry_for(kernel, engine: str, sg: ScheduleGraph) -> Dict[str, object]:
+def _entry_for(
+    kernel: DependenceBitKernel, sg: ScheduleGraph
+) -> Dict[str, object]:
     """A kernel as a storable entry: the validated worker-result shape
     with the wire rows as the report, so the store's cacheability gate
     and :func:`_kernel_from_report`'s validation both apply.  The report
@@ -204,7 +200,7 @@ def _entry_for(kernel, engine: str, sg: ScheduleGraph) -> Dict[str, object]:
     scheduling-value rows — like the kernel, a pure function of
     (schedule graph, machine) — so a replay prices false edges without
     rebuilding the schedule graph."""
-    report = kernel_to_report(kernel, engine)
+    report = kernel_to_report(kernel)
     ep_row, height_row = region_value_rows(sg)
     report["ep"] = ep_row
     report["height"] = height_row
@@ -237,7 +233,6 @@ def _lookup(
     cache: CompileCache,
     key: RegionCacheKey,
     instructions: Sequence[Instruction],
-    engine: str,
 ):
     """``(kernel, value_rows)`` for *key* rebuilt over the caller's own
     instruction sequence, or ``None``.  Malformed rows (size drift, bad
@@ -246,7 +241,7 @@ def _lookup(
     if entry is None:
         return None
     report = entry.get("report")
-    kernel = _kernel_from_report(report, list(instructions), engine)
+    kernel = _kernel_from_report(report, list(instructions))
     if kernel is None:
         return None
     return kernel, _value_rows_from_report(report, len(instructions))
@@ -262,7 +257,6 @@ def _note_region(what: str, count: int = 1) -> None:
 def cached_region_fdg(
     sg: ScheduleGraph,
     machine: MachineDescription,
-    engine: str,
     cache: Optional[CompileCache],
     config_fingerprint: str = "",
     check_deadline: Optional[Callable[[], None]] = None,
@@ -273,22 +267,21 @@ def cached_region_fdg(
 
     Falls through to a plain :func:`false_dependence_graph` build —
     without consulting or populating the store — when any of the
-    honesty gates trips: no cache, an uncacheable engine, a region too
-    small to be worth the round-trip, or **armed faults** (an injected
-    fault must never freeze into a stored kernel, nor may a replay
-    mask the fault path under test).
+    honesty gates trips: no cache, a region too small to be worth the
+    round-trip, or **armed faults** (an injected fault must never
+    freeze into a stored kernel, nor may a replay mask the fault path
+    under test).
     """
     if (
         cache is None
-        or engine not in CACHEABLE_ENGINES
         or len(sg.instructions) < min_instrs
         or faults.active_specs()
     ):
         return false_dependence_graph(
-            sg, machine, check_deadline=check_deadline, engine=engine
+            sg, machine, check_deadline=check_deadline
         )
-    key = region_cache_key(sg, machine, engine, config_fingerprint)
-    hit = _lookup(cache, key, sg.instructions, engine)
+    key = region_cache_key(sg, machine, KERNEL_ENGINE, config_fingerprint)
+    hit = _lookup(cache, key, sg.instructions)
     if hit is not None:
         kernel, value_rows = hit
         _note_region("hit")
@@ -299,10 +292,8 @@ def cached_region_fdg(
             value_rows=value_rows,
         )
     _note_region("miss")
-    fdg = false_dependence_graph(
-        sg, machine, check_deadline=check_deadline, engine=engine
-    )
-    cache.put(key, _entry_for(fdg.kernel, engine, sg))
+    fdg = false_dependence_graph(sg, machine, check_deadline=check_deadline)
+    cache.put(key, _entry_for(fdg.kernel, sg))
     return fdg
 
 
@@ -310,7 +301,6 @@ def cached_region_fdg_ir(
     fn: Function,
     region: Region,
     machine: MachineDescription,
-    engine: str,
     cache: Optional[CompileCache],
     config_fingerprint: str = "",
     dependence_graph: Optional[Callable[[], "nx.DiGraph"]] = None,
@@ -336,15 +326,14 @@ def cached_region_fdg_ir(
         return None
     if (
         cache is None
-        or engine not in CACHEABLE_ENGINES
         or len(work.instructions) < min_instrs
         or faults.active_specs()
     ):
-        return false_dependence_graph(work.sg(), machine, engine=engine)
+        return false_dependence_graph(work.sg(), machine)
     key = region_cache_key_from_digest(
-        work.digest(), machine, engine, config_fingerprint
+        work.digest(), machine, KERNEL_ENGINE, config_fingerprint
     )
-    hit = _lookup(cache, key, work.instructions, engine)
+    hit = _lookup(cache, key, work.instructions)
     if hit is not None:
         kernel, value_rows = hit
         _note_region("hit")
@@ -355,8 +344,8 @@ def cached_region_fdg_ir(
             value_rows=value_rows,
         )
     _note_region("miss")
-    fdg = false_dependence_graph(work.sg(), machine, engine=engine)
-    cache.put(key, _entry_for(fdg.kernel, engine, work.sg()))
+    fdg = false_dependence_graph(work.sg(), machine)
+    cache.put(key, _entry_for(fdg.kernel, work.sg()))
     return fdg
 
 
@@ -441,7 +430,6 @@ def build_incremental_pig(
     machine: MachineDescription,
     cache: CompileCache,
     use_regions: bool = True,
-    engine: str = "bitset",
     config_fingerprint: str = "",
     check_deadline: Optional[Callable[[], None]] = None,
     backend: str = "reference",
@@ -455,24 +443,14 @@ def build_incremental_pig(
     RegionCacheKey`, rebuilds the misses, and stitches hits and
     rebuilds onto the web graph in region order.  Output is
     bit-identical to :func:`~repro.core.parallel_interference.
-    build_parallel_interference_graph` with the same *engine*.
+    build_parallel_interference_graph` with the bitset engine.
 
     Fault-armed processes bypass the store in both directions and
     rebuild everything.
     """
-    if engine not in CACHEABLE_ENGINES:
-        raise InputError(
-            "incremental PIG build needs one of {}, got {!r}".format(
-                "/".join(CACHEABLE_ENGINES), engine
-            )
-        )
     tracer = get_tracer()
     armed = bool(faults.active_specs())
-    with tracer.span(
-        "pig.incremental.build",
-        function=fn.name,
-        engine=engine,
-    ):
+    with tracer.span("pig.incremental.build", function=fn.name):
         interference = interference_for_backend(fn, backend)
         def_to_web = web_of_definition(interference.webs)
         if use_regions:
@@ -511,7 +489,7 @@ def build_incremental_pig(
         # comes straight from the IR-level identity, so a hit skips
         # the schedule-graph build (the expensive O(n²) dependence
         # scan) entirely.
-        kernels: Dict[int, object] = {}
+        kernels: Dict[int, DependenceBitKernel] = {}
         value_rows: Dict[int, object] = {}
         missed: List[int] = []
         keys: Dict[int, RegionCacheKey] = {}
@@ -522,10 +500,10 @@ def build_incremental_pig(
                 missed.append(slot)
                 continue
             key = region_cache_key_from_digest(
-                work.digest(), machine, engine, config_fingerprint
+                work.digest(), machine, KERNEL_ENGINE, config_fingerprint
             )
             keys[slot] = key
-            hit = _lookup(cache, key, work.instructions, engine)
+            hit = _lookup(cache, key, work.instructions)
             if hit is not None:
                 kernels[slot], value_rows[slot] = hit
             else:
@@ -538,16 +516,12 @@ def build_incremental_pig(
             if check_deadline is not None:
                 check_deadline()
             kernels[slot] = false_dependence_graph(
-                works[slot].sg(), machine,
-                check_deadline=check_deadline, engine=engine,
+                works[slot].sg(), machine, check_deadline=check_deadline
             ).kernel
         for slot in missed:
             key = keys.get(slot)
             if key is not None and not armed:
-                cache.put(
-                    key,
-                    _entry_for(kernels[slot], engine, works[slot].sg()),
-                )
+                cache.put(key, _entry_for(kernels[slot], works[slot].sg()))
 
         # Phase 3: compose — splice every kernel in region order.
         # Replayed regions get a *lazy* schedule graph: nothing in the
@@ -571,14 +545,7 @@ def build_incremental_pig(
                     value_rows=value_rows.get(slot),
                 )
             false_graphs.append(fdg)
-            if engine == "vector":
-                _splice_false_edges_vector(
-                    fdg.kernel, def_to_web, graph,
-                    check_deadline=check_deadline,
-                    inter_graph=interference.graph,
-                )
-            else:
-                _splice_false_edges(fdg.kernel, def_to_web, graph)
+            _splice_false_edges(fdg.kernel, def_to_web, graph)
         _note_region("compose")
         tracer.event(
             "pig.incremental.done",

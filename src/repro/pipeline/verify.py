@@ -15,7 +15,7 @@ E_f — i.e. every co-issue opportunity destroyed by register reuse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.regions import Region, schedule_regions
 from repro.deps.datadeps import DependenceKind, register_dependences
@@ -71,6 +71,7 @@ def find_false_dependences(
     engine: str = "bitset",
     region_cache=None,
     config_fingerprint: str = "",
+    check_deadline: Optional[Callable[[], None]] = None,
 ) -> List[FalseDependenceViolation]:
     """All false dependences the allocation introduced.
 
@@ -93,12 +94,10 @@ def find_false_dependences(
             otherwise per block.
         include_anti: Also report introduced anti edges landing in E_f.
         engine: ``"bitset"`` (default) derives E_f via the word-parallel
-            kernel; ``"vector"`` uses the packed-uint64 kernel
-            (:mod:`repro.deps.vector`); ``"reference"`` uses the
-            retained set-based pipeline
-            — the hardened driver passes the engine its PIG phase
-            settled on so a degraded compile stays off the failed
-            kernel.
+            kernel; ``"reference"`` uses the retained set-based
+            pipeline — the hardened driver passes the engine its PIG
+            phase settled on so a degraded compile stays off the
+            failed kernel.
         region_cache: Optional region-kernel
             :class:`~repro.cache.store.CompileCache`.  The check runs
             the same per-region kernels the PIG phase does over the
@@ -108,11 +107,14 @@ def find_false_dependences(
             faults) — pass None otherwise.
         config_fingerprint: ``DriverConfig.fingerprint()`` component
             of the region keys (only read when *region_cache* is set).
+        check_deadline: Optional zero-argument callback polled before
+            each region; it raises to preempt the check when the
+            driver's wall-clock budget has expired mid-phase.
 
     Raises:
         IRError: when the two functions' instructions do not correspond.
     """
-    if engine not in ("vector", "bitset", "reference"):
+    if engine not in ("bitset", "reference"):
         raise IRError("unknown dependence engine {!r}".format(engine))
     allocated_by_uid: Dict[int, Instruction] = {
         instr.uid: instr for instr in allocated.instructions()
@@ -149,6 +151,8 @@ def find_false_dependences(
 
     violations: List[FalseDependenceViolation] = []
     for region in regions:
+        if check_deadline is not None:
+            check_deadline()
         symbolic_instrs: List[Instruction] = []
         for name in region.blocks:
             symbolic_instrs.extend(original.block(name).instructions)
@@ -172,7 +176,7 @@ def find_false_dependences(
             from repro.pipeline.incremental import cached_region_fdg_ir
 
             fdg = cached_region_fdg_ir(
-                original, region, machine, engine, region_cache,
+                original, region, machine, region_cache,
                 config_fingerprint=config_fingerprint,
                 dependence_graph=_dependence_graph,
             )

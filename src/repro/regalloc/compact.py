@@ -37,13 +37,12 @@ import numpy as _np
 from repro.analysis.defuse import DefUseChains, shared_def_use_chains
 from repro.analysis.liveness import (
     LiveInterval,
-    LivenessRows,
+    LivenessInfo,
     block_live_intervals,
-    live_variables_rows,
+    live_variables,
 )
 from repro.analysis.reaching import DefPoint, reaching_definitions
 from repro.analysis.webs import Web, build_webs, web_of_definition
-from repro.deps.vector import unpack_rows, words_for
 from repro.ir.function import Function
 from repro.ir.operands import Register
 from repro.regalloc.interference import InterferenceGraph, _interval_owner
@@ -159,7 +158,7 @@ class CompactInterference:
     Attributes:
         graph: Bitrow adjacency over web indices.
         webs: All webs in deterministic order (``webs[i].index == i``).
-        rows: The packed liveness solution the build consumed.
+        liveness: The liveness solution the build consumed.
         intervals_of: Per web, the live intervals it spans (same
             contents and order as the reference builder's).
         chains: Def-use chains (reused by assignment rewriting).
@@ -168,7 +167,7 @@ class CompactInterference:
 
     graph: CompactGraph
     webs: List[Web]
-    rows: LivenessRows
+    liveness: LivenessInfo
     intervals_of: Dict[Web, List[LiveInterval]]
     chains: DefUseChains
     function: Function
@@ -212,7 +211,7 @@ def _reach_in_defs_for(
 
 def _block_owned_spans(
     block,
-    rows: LivenessRows,
+    liveness: LivenessInfo,
     def_to_web: Dict[DefPoint, Web],
     reach_in_defs: Dict[str, Dict[Register, List[DefPoint]]],
     intervals_of: Dict[Web, List[LiveInterval]],
@@ -220,11 +219,11 @@ def _block_owned_spans(
 ) -> Tuple[List[int], List[int], List[int]]:
     """One block's conflict spans as parallel (start, hi, web-index)
     lists — the exact spans the reference stabbing loop builds."""
-    index = rows.index
-    live_out = index.registers_of(rows.live_out[block.name])
-    live_in = index.registers_of(rows.live_in[block.name])
     intervals = block_live_intervals(
-        block, live_out=live_out, live_in=live_in, include_live_in=True
+        block,
+        live_out=liveness.live_out[block.name],
+        live_in=liveness.live_in[block.name],
+        include_live_in=True,
     )
     starts: List[int] = []
     his: List[int] = []
@@ -273,20 +272,19 @@ def build_compact_interference(
 ) -> CompactInterference:
     """Build G_r for *fn* on bitrows.
 
-    Same construction as the reference builder — shared interval
-    extraction, shared owner lookup, shared stabbing query — with the
-    edge sink swapped for bitrow bulk insertion (numpy ``bitwise_or.at``
-    over a packed uint64 matrix), bitrow liveness, and the
-    reaching-definition pass
-    skipped when no block is entered with a locally-defined register
-    live (the only case the owner lookup consults it).
+    Same construction as the reference builder — shared liveness,
+    shared interval extraction, shared owner lookup, shared stabbing
+    query — with the edge sink swapped for bitrow bulk insertion
+    (numpy ``bitwise_or.at`` over a packed uint64 matrix), and the
+    reaching-definition pass skipped when no block is entered with a
+    locally-defined register live (the only case the owner lookup
+    consults it).
 
     Args:
         fn: The function (single- or multi-block).
         closed_end: Closed-interval convention (as in the reference).
     """
-    rows = live_variables_rows(fn)
-    index = rows.index
+    liveness = live_variables(fn)
     chains = shared_def_use_chains(fn)
     webs = build_webs(fn, chains)
     def_to_web = web_of_definition(webs)
@@ -296,12 +294,10 @@ def build_compact_interference(
     # that have at least one definition (others cannot resolve to a
     # web).  Skip the pass when no such register is live into any
     # block — notably every single-entry straight-line function.
-    defined_mask = 0
-    position = index.position
-    for point in def_to_web:
-        defined_mask |= 1 << position[point.register]
+    defined = {point.register for point in def_to_web}
     needs_reach = any(
-        rows.live_in[block.name] & defined_mask for block in fn.blocks()
+        not defined.isdisjoint(liveness.live_in[block.name])
+        for block in fn.blocks()
     )
     reach_in_defs = _reach_in_defs_for(fn) if needs_reach else {}
 
@@ -313,7 +309,8 @@ def build_compact_interference(
     pair_b: List["object"] = []
     for block in fn.blocks():
         starts, his, widx = _block_owned_spans(
-            block, rows, def_to_web, reach_in_defs, intervals_of, closed_end
+            block, liveness, def_to_web, reach_in_defs, intervals_of,
+            closed_end,
         )
         if not starts:
             continue
@@ -325,7 +322,7 @@ def build_compact_interference(
     if pair_a:
         a = _np.concatenate(pair_a)
         b = _np.concatenate(pair_b)
-        words = words_for(n)
+        words = (n + 63) // 64
         packed = _np.zeros((n, words), dtype=_np.uint64)
         rows_idx = _np.concatenate([a, b])
         cols = _np.concatenate([b, a])
@@ -334,12 +331,18 @@ def build_compact_interference(
             (rows_idx, cols >> 6),
             _np.left_shift(_np.uint64(1), (cols & 63).astype(_np.uint64)),
         )
-        adj = unpack_rows(packed, n)
+        # Little-endian words, so each row's bytes are its big-int row.
+        data = packed.astype("<u8", copy=False).tobytes()
+        nbytes = words * 8
+        adj = [
+            int.from_bytes(data[off:off + nbytes], "little")
+            for off in range(0, len(data), nbytes)
+        ]
 
     return CompactInterference(
         graph=CompactGraph.from_rows(adj),
         webs=webs,
-        rows=rows,
+        liveness=liveness,
         intervals_of=intervals_of,
         chains=chains,
         function=fn,

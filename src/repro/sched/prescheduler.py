@@ -12,6 +12,7 @@ the program segment accordingly".
 
 from __future__ import annotations
 
+from typing import Callable, Optional
 
 from repro.deps.schedule_graph import block_schedule_graph
 from repro.ir.basicblock import BasicBlock
@@ -39,9 +40,17 @@ def preschedule_block(
 
 
 def preschedule_function(
-    fn: Function, machine: MachineDescription
+    fn: Function,
+    machine: MachineDescription,
+    check_deadline: Optional[Callable[[], None]] = None,
 ) -> Function:
-    """EP-reorder every block of *fn* in place; returns *fn*."""
+    """EP-reorder every block of *fn* in place; returns *fn*.
+
+    *check_deadline*, when given, is polled before each block and
+    raises to preempt a compile whose wall-clock budget ran out.
+    """
     for block in fn.blocks():
+        if check_deadline is not None:
+            check_deadline()
         preschedule_block(block, machine)
     return fn

@@ -314,8 +314,8 @@ class BatchRunner:
             defaults.
         breaker: Circuit breaker; None uses :class:`CircuitBreaker`
             defaults.  The breaker only reroutes when the primary
-            engine is a fast kernel (``"vector"``/``"bitset"``; there
-            is no rung below the reference engine).
+            engine is the bitset kernel (there is no rung below the
+            reference engine).
         ledger_path: JSONL journal to append terminal outcomes to
             (None disables journaling — and therefore resume).
         resume_path: Existing ledger to load; journaled tasks with
@@ -689,7 +689,7 @@ class BatchRunner:
         rec = records[attempt.task.task_id]
         if (
             attempt.rung == PRIMARY_RUNG
-            and self.config.engine in ("vector", "bitset")
+            and self.config.engine == "bitset"
             and not self.breaker.allow(self._breaker_key(PRIMARY_RUNG))
         ):
             attempt.rung = CIRCUIT_RUNG

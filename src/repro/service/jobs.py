@@ -581,7 +581,7 @@ class JobDispatcher:
         rung = attempt.rung
         if (
             rung == PRIMARY_RUNG
-            and self.config.engine in ("vector", "bitset")
+            and self.config.engine == "bitset"
             and not self.breaker.allow(self._breaker_key(PRIMARY_RUNG))
         ):
             rung = CIRCUIT_RUNG

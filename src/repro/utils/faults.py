@@ -22,7 +22,6 @@ point                     location
 ``ir.parse``              :func:`repro.ir.parser.parse_function`
 ``ir.verify``             :func:`repro.ir.verifier.verify_function`
 ``deps.bitset``           :meth:`repro.deps.bitset.DependenceBitKernel.build`
-``deps.vector``           :meth:`repro.deps.vector.VectorDependenceKernel.build`
 ``core.pinter_color``     :func:`repro.core.coloring.pinter_color`
 ``regalloc.chaitin``      :func:`repro.regalloc.chaitin.chaitin_color`
 ``regalloc.compact``      :func:`repro.regalloc.compact.compact_chaitin_allocate`
@@ -157,7 +156,6 @@ LIBRARY_POINTS = frozenset({
     "ir.parse",
     "ir.verify",
     "deps.bitset",
-    "deps.vector",
     "core.pinter_color",
     "regalloc.chaitin",
     "regalloc.compact",

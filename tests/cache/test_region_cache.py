@@ -127,7 +127,9 @@ class TestRegionKeys:
         fn = diamond_chain(num_diamonds=2, block_size=6, seed=0)
         sg = _first_region_sg(fn, machine)
         base = region_cache_key(sg, machine, "bitset", "cfg").digest()
-        assert base != region_cache_key(sg, machine, "vector", "cfg").digest()
+        assert base != region_cache_key(
+            sg, machine, "reference", "cfg"
+        ).digest()
         assert base != region_cache_key(sg, machine, "bitset", "other").digest()
 
     def test_region_digest_tracks_edit(self):
@@ -273,13 +275,13 @@ class TestRegionCacheHonesty:
         fn = diamond_chain(num_diamonds=2, block_size=8, seed=0)
         cache = CompileCache(capacity=64)
         # Warm the cache cleanly first.
-        build_incremental_pig(fn, machine, cache, engine="bitset")
+        build_incremental_pig(fn, machine, cache)
         warm = cache.snapshot()
         assert warm["stores"] > 0
         with faults.inject("sched.augmented"):  # armed, never fired
-            build_incremental_pig(fn, machine, cache, engine="bitset")
+            build_incremental_pig(fn, machine, cache)
             sg = _first_region_sg(fn, machine)
-            cached_region_fdg(sg, machine, "bitset", cache)
+            cached_region_fdg(sg, machine, cache)
         after = cache.snapshot()
         assert after["stores"] == warm["stores"]
         assert after["hits"] == warm["hits"]
@@ -298,9 +300,13 @@ class TestRegionCacheHonesty:
         )
         assert driver._region_cache("bitset") is not None
         assert driver._region_cache("reference") is None
-        assert driver._region_cache("vector") is None  # not the primary
         with faults.inject("phase.pig"):
             assert driver._region_cache("bitset") is None
+        reference = CompilationDriver(
+            two_unit_superscalar(),
+            config=DriverConfig(engine="reference", region_cache=True),
+        )
+        assert reference._region_cache("reference") is None
 
     def test_degraded_rung_configs_disable_region_cache(self):
         from repro.service.batch import (
@@ -327,6 +333,13 @@ class TestRegionCacheHonesty:
 # ----------------------------------------------------------------------
 # Corrupt stored kernels (the region cache reads them back from disk)
 # ----------------------------------------------------------------------
+
+
+def test_hex_rows_round_trip():
+    from repro.pipeline.incremental import rows_from_hex, rows_to_hex
+
+    rows = [0, 1, (1 << 64) | 5, (1 << 130) - 1]
+    assert rows_from_hex(rows_to_hex(rows)) == rows
 
 
 def _foreign_kind(report):
@@ -363,9 +376,7 @@ class TestCorruptRegionEntries:
         # One block: exactly one region, large enough to be cached.
         fn = random_block(RandomBlockConfig(size=24, window=5, seed=3))
         directory = str(tmp_path)
-        build_incremental_pig(
-            fn, machine, CompileCache(directory=directory), engine="bitset"
-        )
+        build_incremental_pig(fn, machine, CompileCache(directory=directory))
         (path,) = glob.glob(os.path.join(directory, "*", "*", "*.json"))
         with open(path) as handle:
             document = json.load(handle)
@@ -375,8 +386,7 @@ class TestCorruptRegionEntries:
 
         with collecting_metrics() as metrics:
             replay = build_incremental_pig(
-                fn, machine, CompileCache(directory=directory),
-                engine="bitset",
+                fn, machine, CompileCache(directory=directory)
             )
         counters = metrics.snapshot()["counters"]
         assert counters.get("cache.region.hit", 0) == 0

@@ -6,8 +6,9 @@ E_t, E_f, contention and web-projection results of the frozen
 reference pipeline (:mod:`repro.deps.reference`).
 
 Coverage: 3 machine presets x (40 random straight-line blocks + 30
-multi-block fuzzed source programs) = 210 combinations, beyond the
-200 the acceptance criteria require.  PIG comparisons key on
+multi-block fuzzed source programs + one diamond chain with webs
+spanning many regions) = 213 combinations, beyond the 200 the
+acceptance criteria require.  PIG comparisons key on
 ``web.index`` (webs from independent builds are not ``==`` because
 live-out pseudo-uses get fresh uids per build).
 """
@@ -34,6 +35,7 @@ from repro.utils.bits import iter_bits
 from repro.workloads import (
     RandomBlockConfig,
     SourceFuzzConfig,
+    diamond_chain,
     random_block,
     random_source,
 )
@@ -74,6 +76,7 @@ def _fuzzed_source_functions():
 def _all_functions():
     yield from _random_block_functions()
     yield from _fuzzed_source_functions()
+    yield "diamond", diamond_chain(num_diamonds=4, block_size=9, seed=2)
 
 
 def _region_graphs(fn, machine):
@@ -113,7 +116,7 @@ def test_kernel_et_ef_match_reference(preset):
                 for a, b in reference_contention_pairs(sg.instructions, machine)
             }, context
         checked += 1
-    assert checked == len(RANDOM_BLOCK_SEEDS) + len(SOURCE_FUZZ_SEEDS)
+    assert checked == len(RANDOM_BLOCK_SEEDS) + len(SOURCE_FUZZ_SEEDS) + 1
 
 
 def _edge_signature(pig):
@@ -169,6 +172,6 @@ def test_degenerate_regions_match_reference(preset):
 
 
 def test_combo_count_meets_acceptance():
-    """3 machine presets x 70 functions >= 200 fuzzed combinations."""
+    """3 machine presets x 71 functions >= 200 fuzzed combinations."""
     functions = sum(1 for _ in _all_functions())
     assert functions * len(MACHINES) >= 200

@@ -132,60 +132,13 @@ class TestBitsetRung:
         assert "reference engine" in recoveries(outcome.report)
 
 
-class TestVectorRung:
-    """The top rung: vector kernel failure degrades to bitset, then
-    reference — one rung at a time, each producing the identical PIG."""
-
-    def test_vector_engine_compiles_clean(self, machine):
-        driver = CompilationDriver(
-            machine, config=DriverConfig(engine="vector")
-        )
-        outcome = driver.compile_function(example1())
-        assert outcome.ok
-        assert outcome.report.status == "ok"
-
-    def test_auto_resolves_to_a_concrete_engine(self, machine):
-        driver = CompilationDriver(machine, config=DriverConfig(engine="auto"))
-        assert driver.config.engine == "vector"
-
-    def test_fault_degrades_to_bitset_engine(self, machine):
-        driver = CompilationDriver(
-            machine, config=DriverConfig(engine="vector")
-        )
-        clean = driver.compile_function(example1())
-        with faults.inject("deps.vector"):
-            degraded = driver.compile_function(example1())
-        assert degraded.ok
-        assert degraded.report.status == "degraded"
-        assert "bitset engine" in recoveries(degraded.report)
-        assert "reference engine" not in recoveries(degraded.report)
-        assert degraded.result.registers_used == clean.result.registers_used
-        assert degraded.result.cycles == clean.result.cycles
-
-    def test_double_fault_reaches_reference(self, machine):
-        driver = CompilationDriver(
-            machine, config=DriverConfig(engine="vector")
-        )
-        with faults.inject("deps.vector"), faults.inject("deps.bitset"):
-            outcome = driver.compile_function(example1())
-        assert outcome.ok
-        got = recoveries(outcome.report)
-        assert "bitset engine" in got
-        assert "reference engine" in got
-
-    def test_paranoid_vector_cross_check_passes(self, machine):
-        driver = CompilationDriver(
-            machine, config=DriverConfig(engine="vector", paranoid=True)
-        )
-        outcome = driver.compile_function(example2())
-        assert outcome.ok
-        assert outcome.report.status == "ok"
-
-    def test_unknown_engine_rejected(self, machine):
+class TestEngineChoice:
+    @pytest.mark.parametrize("engine", ["simd", "vector", "auto"])
+    def test_unknown_engine_rejected(self, machine, engine):
         from repro.utils.errors import InputError
 
         with pytest.raises(InputError):
-            CompilationDriver(machine, config=DriverConfig(engine="simd"))
+            CompilationDriver(machine, config=DriverConfig(engine=engine))
 
 
 class TestColorRung:

@@ -45,11 +45,11 @@ def _one_instruction_function():
     return builder.function(name="tiny")
 
 
-def _assert_equivalent(fn, machine, engine):
-    reference = build_parallel_interference_graph(fn, machine, engine=engine)
+def _assert_equivalent(fn, machine):
+    reference = build_parallel_interference_graph(fn, machine, engine="bitset")
     cache = CompileCache(capacity=256)
-    cold = build_incremental_pig(fn, machine, cache, engine=engine)
-    warm = build_incremental_pig(fn, machine, cache, engine=engine)
+    cold = build_incremental_pig(fn, machine, cache)
+    warm = build_incremental_pig(fn, machine, cache)
     assert _pig_signature(reference) == _pig_signature(cold)
     assert _pig_signature(reference) == _pig_signature(warm)
 
@@ -75,10 +75,7 @@ class TestBitIdenticalComposition:
         ids=[w[0] for w in WORKLOADS],
     )
     def test_bitset_equivalence(self, label, make_fn, make_machine):
-        _assert_equivalent(make_fn(), make_machine(), "bitset")
-
-    def test_vector_equivalence(self):
-        _assert_equivalent(diamond_chain(3, 10, seed=2), wide_issue(), "vector")
+        _assert_equivalent(make_fn(), make_machine())
 
     def test_partially_warm_cache(self):
         # Warm the cache with one function, then compose a different
@@ -86,14 +83,12 @@ class TestBitIdenticalComposition:
         # changed): hits and misses mix within a single compose.
         machine = wide_issue()
         cache = CompileCache(capacity=256)
-        build_incremental_pig(
-            diamond_chain(4, 10, seed=6), machine, cache, engine="bitset"
-        )
+        build_incremental_pig(diamond_chain(4, 10, seed=6), machine, cache)
         edited = diamond_chain(4, 10, seed=7)
         reference = build_parallel_interference_graph(
             edited, machine, engine="bitset"
         )
-        mixed = build_incremental_pig(edited, machine, cache, engine="bitset")
+        mixed = build_incremental_pig(edited, machine, cache)
         assert _pig_signature(reference) == _pig_signature(mixed)
 
     def test_use_regions_false_matches(self):
@@ -105,7 +100,7 @@ class TestBitIdenticalComposition:
         cache = CompileCache(capacity=256)
         for _ in range(2):
             incr = build_incremental_pig(
-                fn, machine, cache, use_regions=False, engine="bitset"
+                fn, machine, cache, use_regions=False
             )
             assert _pig_signature(reference) == _pig_signature(incr)
 
@@ -121,9 +116,9 @@ class TestBitIdenticalComposition:
             sg = region_schedule_graph(fn, region.blocks, machine=machine)
             if not sg.instructions:
                 continue
-            direct = false_dependence_graph(sg, machine, engine="bitset")
+            direct = false_dependence_graph(sg, machine)
             for _ in range(2):  # miss then hit
-                cached = cached_region_fdg(sg, machine, "bitset", cache)
+                cached = cached_region_fdg(sg, machine, cache)
                 assert cached.kernel.ef_rows == direct.kernel.ef_rows
                 assert cached.kernel.et_rows == direct.kernel.et_rows
                 assert cached.kernel.reach_rows == direct.kernel.reach_rows

@@ -3,9 +3,11 @@
 ``--time-budget`` used to be checked only at phase boundaries, so one
 long dependence build could blow far past the budget.  The driver now
 threads a ``check_deadline`` callback into the bitset kernel's closure
-loops and the coloring worklists; these tests pin the callback plumbing
-at every layer and the driver-level behavior (a budget exhausted
-mid-phase aborts with exit 1 — it never degrades onto a ladder rung).
+loops, the coloring worklists, and the per-block / per-region loops of
+the preschedule and theorem-1 phases; these tests pin the callback
+plumbing at every layer and the driver-level behavior (a budget
+exhausted mid-phase aborts with exit 1 — it never degrades onto a
+ladder rung).
 """
 
 import pytest
@@ -26,6 +28,7 @@ from repro.utils.errors import BudgetExceededError
 from repro.workloads import (
     ALL_KERNELS,
     RandomBlockConfig,
+    diamond_chain,
     example1,
     random_block,
 )
@@ -86,49 +89,6 @@ class TestKernelCallback:
             )
 
 
-class TestVectorKernelCallback:
-    """The vector engine keeps the stride-64 poll contract: its
-    level-batched closure loops call ``check_deadline`` mid-build."""
-
-    def test_callback_is_polled(self, sg, machine):
-        from repro.deps.vector import VectorDependenceKernel
-
-        calls = []
-        kernel = VectorDependenceKernel.build(
-            sg, machine, check_deadline=lambda: calls.append(1)
-        )
-        # The level-batched closure polls per level batch, so a small
-        # graph sees fewer polls than the per-node bitset loop — but
-        # never zero.
-        assert calls
-        assert kernel is not None
-
-    def test_callback_exception_preempts_build(self, sg, machine):
-        from repro.deps.vector import VectorDependenceKernel
-
-        with pytest.raises(BudgetExceededError):
-            VectorDependenceKernel.build(sg, machine, check_deadline=_expired)
-
-    def test_vector_pig_build_forwards(self, machine):
-        with pytest.raises(BudgetExceededError):
-            build_parallel_interference_graph(
-                example1(), machine, engine="vector",
-                check_deadline=_expired,
-            )
-
-    def test_stalled_vector_pig_phase_is_preempted(self, machine):
-        # Same driver-level property as the bitset rung: the budget
-        # fires inside the vectorized pig phase, not at a boundary.
-        driver = CompilationDriver(
-            machine,
-            config=DriverConfig(engine="vector", time_budget=0.05),
-        )
-        with faults.inject("phase.pig", action="stall", seconds=0.3):
-            outcome = driver.compile_function(example1())
-        assert not outcome.ok
-        assert outcome.report.exit_code == EXIT_INTERNAL
-
-
 class TestDriverMidPhase:
     def test_stalled_pig_phase_is_preempted(self, machine):
         # The stall fires *inside* the pig phase, after the boundary
@@ -155,6 +115,26 @@ class TestDriverMidPhase:
         assert report.status == "failed"
         assert not report.degraded
         assert not any(d.recovery for d in report.diagnostics)
+
+    @pytest.mark.parametrize("phase", ["preschedule", "theorem1"])
+    def test_budget_spent_inside_phase_aborts_mid_phase(
+        self, machine, phase
+    ):
+        # The stall fires inside the phase, after its boundary check
+        # passed: only the per-block / per-region poll can catch it
+        # before the phase runs to completion.
+        driver = CompilationDriver(
+            machine, config=DriverConfig(time_budget=0.5)
+        )
+        fn = diamond_chain(num_diamonds=2, block_size=6, seed=0)
+        with faults.inject("phase." + phase, action="stall", seconds=0.8):
+            outcome = driver.compile_function(fn)
+        assert not outcome.ok
+        report = outcome.report
+        assert report.exit_code == EXIT_INTERNAL
+        (error,) = report.errors()
+        assert error.phase == phase
+        assert "mid-phase" in error.message
 
     def test_generous_budget_unaffected(self, machine):
         driver = CompilationDriver(

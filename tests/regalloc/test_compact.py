@@ -23,8 +23,19 @@ from repro.regalloc.compact import (
 )
 from repro.regalloc.interference import build_interference_graph
 from repro.utils.errors import AllocationError
-from repro.workloads import example1, example2, figure6_diamond
-from repro.workloads.generator import RandomBlockConfig, random_block
+from repro.frontend import compile_source
+from repro.workloads import (
+    SourceFuzzConfig,
+    example1,
+    example2,
+    figure6_diamond,
+    random_source,
+)
+from repro.workloads.generator import (
+    RandomBlockConfig,
+    diamond_chain,
+    random_block,
+)
 
 
 def _paper_functions():
@@ -40,13 +51,31 @@ def _random_functions():
     ]
 
 
+def _multi_block_functions():
+    """CFGs whose blocks are entered with locally defined registers
+    live, so the build runs the reaching-definition owner lookup."""
+    fns = [diamond_chain(num_diamonds=5, block_size=6, seed=3)]
+    for seed in (6, 9):  # each program has two loops
+        config = SourceFuzzConfig(
+            num_statements=10, if_probability=0.3, while_probability=0.5,
+            seed=seed,
+        )
+        fns.append(
+            compile_source(random_source(config), name="loops{}".format(seed))
+        )
+    return fns
+
+
 # ----------------------------------------------------------------------
 # Interference equivalence
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fn", _paper_functions() + _random_functions(),
-                         ids=lambda f: f.name)
+@pytest.mark.parametrize(
+    "fn",
+    _paper_functions() + _random_functions() + _multi_block_functions(),
+    ids=lambda f: f.name,
+)
 def test_interference_edges_match_reference(fn):
     ref = build_interference_graph(fn)
     compact = build_compact_interference(fn)

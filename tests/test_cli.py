@@ -225,7 +225,6 @@ class TestBenchCommand:
             ("e7-n8", phase)
             for phase in (
                 "pig_construction",
-                "pig_construction_vector",
                 "pig_construction_reference",
                 "closure",
                 "closure_reference",

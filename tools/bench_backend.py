@@ -30,13 +30,6 @@ Workloads:
   ``--repeats`` rounds.  Every result field is checked identical
   before any timing is trusted.
 
-* ``backend-cfg-d<D>`` — a diamond chain with a real CFG fixpoint.
-  Phases ``liveness_rows`` / ``liveness_sets`` compare the packed
-  bitrow solver to the frozenset solver (results checked equal).  No
-  floor is enforced on liveness: at these function sizes the fixpoint
-  is microseconds either way — the representation exists to feed the
-  interference kernel its masks, not to win this row.
-
 The acceptance floors (``--check``, and ``make bench-backend-check``
 against the same run): compact must be >= 3x faster than reference on
 BOTH the interference and coloring phases of the large-block workload
@@ -55,7 +48,6 @@ import os
 import sys
 import time
 
-from repro.analysis.liveness import live_variables, live_variables_rows
 from repro.deps.false_dependence import block_false_dependence_graph
 from repro.deps.schedule_graph import block_schedule_graph
 from repro.machine.presets import two_unit_superscalar
@@ -67,7 +59,6 @@ from repro.regalloc.compact import (
 from repro.regalloc.interference import build_interference_graph
 from repro.sched.augmented import augmented_schedule, compact_augmented_schedule
 from repro.workloads import RandomBlockConfig, random_block
-from repro.workloads.generator import diamond_chain
 
 #: PR-10 acceptance floor: compact must be >= 3x faster than reference
 #: on the interference and coloring phases of the large block.
@@ -282,42 +273,6 @@ def bench_pinter(repeats, rows):
     return speedup
 
 
-def bench_cfg_liveness(diamonds, block_size, repeats, rows):
-    """Packed vs set-based liveness over a real CFG fixpoint."""
-    fn = diamond_chain(num_diamonds=diamonds, block_size=block_size, seed=10)
-    n_instrs = sum(len(b) for b in fn.blocks())
-    workload = "backend-cfg-d{}".format(diamonds)
-
-    info = live_variables(fn)
-    packed = live_variables_rows(fn)
-    materialized = packed.to_info()
-    if (
-        materialized.live_in != info.live_in
-        or materialized.live_out != info.live_out
-    ):
-        raise SystemExit(
-            "bench_backend: packed and set liveness disagree on {} — "
-            "timings would be meaningless".format(workload)
-        )
-
-    wall_rows = wall_sets = float("inf")
-    for _ in range(repeats):
-        wall, _ = timed(lambda: live_variables_rows(fn))
-        wall_rows = min(wall_rows, wall)
-        wall, _ = timed(lambda: live_variables(fn))
-        wall_sets = min(wall_sets, wall)
-    for phase, wall in (
-        ("liveness_rows", wall_rows), ("liveness_sets", wall_sets)
-    ):
-        rows.append({
-            "workload": workload,
-            "phase": phase,
-            "wall_s": round(wall, 6),
-            "n_instrs": n_instrs,
-        })
-        print("{:<16} {:<24} {:>9.3f}s".format(workload, phase, wall))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -329,21 +284,9 @@ def main(argv=None) -> int:
         help="operand reuse window of the large block (default 96)",
     )
     parser.add_argument(
-        "--diamonds", type=int, default=80, metavar="D",
-        help="diamonds in the CFG liveness workload (default 80)",
-    )
-    parser.add_argument(
-        "--block-size", type=int, default=16, metavar="B",
-        help="instructions per diamond arm (default 16)",
-    )
-    parser.add_argument(
         "--repeats", type=int, default=3, metavar="R",
         help="take each phase's minimum wall time over R interleaved "
         "runs (default 3; noise robustness)",
-    )
-    parser.add_argument(
-        "--skip-cfg", action="store_true",
-        help="emit only the large-block rows (fast CI mode)",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -366,9 +309,6 @@ def main(argv=None) -> int:
     rows = []
     speedups = bench_large_block(args.size, args.window, args.repeats, rows)
     speedups["pinter"] = bench_pinter(args.repeats, rows)
-    if not args.skip_cfg:
-        bench_cfg_liveness(args.diamonds, args.block_size, args.repeats,
-                           rows)
 
     if args.output:
         with open(args.output, "w") as handle:

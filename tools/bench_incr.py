@@ -117,7 +117,7 @@ def timed_compile(driver, text, name):
     return wall
 
 
-def timed_region_sweep(text, machine, engine, cache):
+def timed_region_sweep(text, machine, cache):
     """Wall time of the per-region compile path over every region.
 
     The whole-function dependence graph is built *before* the clock
@@ -131,20 +131,19 @@ def timed_region_sweep(text, machine, engine, cache):
     started = time.perf_counter()
     for region in regions:
         cached_region_fdg_ir(
-            fn, region, machine, engine, cache,
+            fn, region, machine, cache,
             dependence_graph=lambda: shared_function_dependence_graph(fn),
         )
     return time.perf_counter() - started
 
 
-def run_once(base_text, edited_text, machine, engine, store_dir):
+def run_once(base_text, edited_text, machine, store_dir):
     """One cold/warm/incr cycle against a fresh store; returns walls
     and per-phase cache-delta stats."""
     reset_region_caches()
     driver = CompilationDriver(
         machine,
         config=DriverConfig(
-            engine=engine,
             region_cache=True,
             region_cache_dir=store_dir,
         ),
@@ -166,7 +165,7 @@ def run_once(base_text, edited_text, machine, engine, store_dir):
     return walls, stats
 
 
-def run_sweep_once(base_text, edited_text, machine, engine, store_dir):
+def run_sweep_once(base_text, edited_text, machine, store_dir):
     """One kernel_cold/kernel_warm/kernel_incr cycle on a fresh store."""
     reset_region_caches()
     cache = region_cache_for(store_dir)
@@ -177,7 +176,7 @@ def run_sweep_once(base_text, edited_text, machine, engine, store_dir):
         ("kernel_incr", edited_text),
     ):
         before = cache.snapshot()
-        walls[phase] = timed_region_sweep(text, machine, engine, cache)
+        walls[phase] = timed_region_sweep(text, machine, cache)
         after = cache.snapshot()
         stats[phase] = {
             "hits": after["hits"] - before["hits"],
@@ -198,10 +197,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="workload seed"
-    )
-    parser.add_argument(
-        "--engine", default="bitset", choices=("bitset", "vector"),
-        help="dependence engine (default bitset)",
     )
     parser.add_argument(
         "--repeats", type=int, default=3, metavar="R",
@@ -236,8 +231,7 @@ def main(argv=None) -> int:
                 store_dir = tempfile.mkdtemp(prefix="bench-incr-store-")
                 try:
                     walls, stats = runner(
-                        base_text, edited_text, machine, args.engine,
-                        store_dir,
+                        base_text, edited_text, machine, store_dir
                     )
                 finally:
                     shutil.rmtree(store_dir, ignore_errors=True)
@@ -259,7 +253,6 @@ def main(argv=None) -> int:
             "workload": workload,
             "phase": phase,
             "wall_s": round(wall, 6),
-            "engine": args.engine,
             "diamonds": args.diamonds,
             "block_size": args.block_size,
             "region_hits": stat["hits"],
