@@ -17,7 +17,7 @@ from repro.deps import (
     ordered_pair,
 )
 from repro.machine.presets import two_unit_superscalar
-from repro.sched import augmented_schedule, list_schedule
+from repro.sched import compact_augmented_schedule, list_schedule
 from repro.workloads import ALL_KERNELS
 
 MACHINE = two_unit_superscalar()
@@ -30,7 +30,7 @@ def test_e11_augmented_vs_classic(benchmark, emit):
             fn = ALL_KERNELS[name]()
             sg = block_schedule_graph(fn.entry, machine=MACHINE)
             fdg = block_false_dependence_graph(fn.entry, MACHINE)
-            augmented = augmented_schedule(sg, fdg, MACHINE)
+            augmented = compact_augmented_schedule(sg, fdg, MACHINE)
             classic = list_schedule(sg, MACHINE)
             coissues = augmented.parallel_pairs()
             rows.append({

@@ -217,7 +217,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         engine=args.pig_engine,
         region_cache=_region_cache_enabled(args),
         region_cache_dir=args.region_cache_dir,
-        backend=args.backend,
     )
     driver = CompilationDriver(machine, num_registers=registers, config=config)
 
@@ -354,7 +353,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         engine=args.engine,
         region_cache=_region_cache_enabled(args),
         region_cache_dir=args.region_cache_dir,
-        backend="compact" if args.backend == "auto" else args.backend,
     )
     runner = BatchRunner(
         machine=args.machine,
@@ -436,7 +434,6 @@ def _supervised_child_args(args: argparse.Namespace) -> List[str]:
         "--backoff", str(args.backoff),
         "--drain-timeout", str(args.drain_timeout),
         "--engine", args.engine,
-        "--backend", args.backend,
     ]
     if args.registers is not None:
         child += ["--registers", str(args.registers)]
@@ -517,7 +514,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         engine=args.engine,
         region_cache=_region_cache_enabled(args),
         region_cache_dir=args.region_cache_dir,
-        backend="compact" if args.backend == "auto" else args.backend,
     )
     server = CompileServer(
         host=args.host,
@@ -836,15 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
         "is the word-parallel kernel (degrades to reference), "
         "'reference' the set-based oracle",
     )
-    p_compile.add_argument(
-        "--backend",
-        choices=("auto", "compact", "reference"),
-        default="auto",
-        help="allocator/scheduler kernel implementation: 'compact' runs "
-        "the bitrow interference + worklist coloring + array scheduler "
-        "fast paths and degrades to 'reference' on any failure "
-        "('auto' resolves to compact)",
-    )
     _add_region_cache_flags(p_compile)
     p_compile.add_argument(
         "--json-diagnostics", action="store_true",
@@ -954,13 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="bitset",
         help="primary dependence engine rung (bitset degrades to "
         "reference)",
-    )
-    p_batch.add_argument(
-        "--backend",
-        choices=("auto", "compact", "reference"),
-        default="auto",
-        help="allocator/scheduler kernel implementation ('auto' "
-        "resolves to compact; degrades to reference on failure)",
     )
     p_batch.add_argument(
         "--recheck-degraded", action="store_true",
@@ -1112,13 +1092,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="bitset",
         help="primary dependence engine rung (bitset degrades to "
         "reference)",
-    )
-    p_serve.add_argument(
-        "--backend",
-        choices=("auto", "compact", "reference"),
-        default="auto",
-        help="allocator/scheduler kernel implementation ('auto' "
-        "resolves to compact; degrades to reference on failure)",
     )
     p_serve.add_argument("--strict", action="store_true")
     p_serve.add_argument("--paranoid", action="store_true")

@@ -45,7 +45,7 @@ from repro.regalloc.interference import (
     build_interference_graph,
 )
 from repro.utils.bits import iter_bits
-from repro.utils.errors import AllocationError, ReproError
+from repro.utils.errors import AllocationError
 
 
 class EdgeOrigin(enum.Flag):
@@ -238,31 +238,12 @@ def _insert_edges_fast(graph: nx.Graph, edges, origin: EdgeOrigin) -> None:
         adj[v][u] = data
 
 
-def interference_for_backend(fn: Function, backend: str):
-    """G_r for *fn* under the driver's back-end knob: ``"compact"``
-    builds on bitrows (:mod:`repro.regalloc.compact`) and materializes
-    the identical networkx graph; ``"reference"`` is the retained
-    builder.  A compact failure costs only the fast path — the
-    reference builder is the in-place fallback."""
-    if backend == "compact":
-        try:
-            from repro.regalloc.compact import build_compact_interference
-
-            return build_compact_interference(fn).to_reference()
-        except ReproError:
-            from repro.obs import get_metrics
-
-            get_metrics().counter("interference.compact_fallback").inc()
-    return build_interference_graph(fn)
-
-
 def build_parallel_interference_graph(
     fn: Function,
     machine: MachineDescription,
     use_regions: bool = True,
     engine: str = "bitset",
     check_deadline=None,
-    backend: str = "reference",
 ) -> ParallelInterferenceGraph:
     """Build G for *fn* on *machine*.
 
@@ -283,13 +264,10 @@ def build_parallel_interference_graph(
             regions and inside the kernels' closure loops; it raises
             to preempt the build when the driver's wall-clock budget
             has expired mid-phase.
-        backend: ``"compact"`` builds the embedded interference graph
-            on bitrows (identical edges, bulk-inserted); ``"reference"``
-            keeps the classic builder.
     """
     if engine not in ("bitset", "reference"):
         raise AllocationError("unknown PIG engine {!r}".format(engine))
-    interference = interference_for_backend(fn, backend)
+    interference = build_interference_graph(fn)
     def_to_web = web_of_definition(interference.webs)
 
     if use_regions:

@@ -25,6 +25,15 @@ the bitset engine against the reference engine and degrades onto the
 reference rung on divergence.  In ``--strict`` mode the ladder is
 disabled: the first phase error fails the compile.
 
+The back end has one implementation per job: the compact kernels
+build G_r, run the Chaitin rung
+(:func:`repro.regalloc.compact.chaitin_allocate`) and schedule
+(:func:`repro.sched.augmented.compact_augmented_schedule`; the list
+scheduler rung is :func:`repro.sched.list_scheduler.list_schedule`
+under the simulator).  The ``color`` and ``schedule`` ladders
+therefore have two rungs each; when both ``color`` rungs fail, the
+compile fails with exit 1.
+
 Outcomes map to documented exit codes:
 
 * ``0`` — success, possibly degraded (check ``report.status``);
@@ -39,6 +48,7 @@ injection registry (:mod:`repro.utils.faults`).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple, TypeVar
@@ -54,11 +64,11 @@ from repro.ir.function import Function
 from repro.ir.verifier import verify_function
 from repro.machine.model import MachineDescription
 from repro.obs import get_metrics, get_tracer
-from repro.pipeline.strategies import StrategyResult, Strategy, _chaitin_allocate
+from repro.pipeline.strategies import StrategyResult, Strategy
 from repro.pipeline.verify import find_false_dependences
 from repro.regalloc.assignment import apply_assignment, make_assignment
+from repro.regalloc.compact import chaitin_allocate
 from repro.regalloc.spill import insert_spill_code, make_cost_function
-from repro.sched.augmented import augmented_schedule
 from repro.sched.prescheduler import preschedule_function
 from repro.sched.simulator import simulate_function
 from repro.utils import faults
@@ -78,13 +88,6 @@ T = TypeVar("T")
 #: through to the next; the last rung is non-recoverable.
 _ENGINE_LADDER: Dict[str, Tuple[str, ...]] = {
     "bitset": ("bitset", "reference"),
-    "reference": ("reference",),
-}
-
-#: Back-end (allocator/scheduler kernel) ladder: the compact rung
-#: degrades to the reference implementations, which have no rung below.
-_BACKEND_LADDER: Dict[str, Tuple[str, ...]] = {
-    "compact": ("compact", "reference"),
     "reference": ("reference",),
 }
 
@@ -267,14 +270,11 @@ class DriverConfig:
             ``region/`` namespace inside a shared ``--cache-dir`` is
             handled by the store); None keeps region kernels
             memory-only, which still de-duplicates within a process.
-        backend: Allocator/scheduler kernel implementation.
-            ``"compact"`` runs the index-based fast paths
-            (:mod:`repro.regalloc.compact`, the compact schedulers) and
-            degrades to ``"reference"`` on any failure — or, in
-            paranoid mode, on divergence from the reference
-            cross-check.  ``"auto"`` (default) resolves to
-            ``"compact"`` at driver construction.  Orthogonal to
-            ``engine``, which picks the *dependence* kernel.
+        backend: Allocator/scheduler implementation.  ``"compact"``
+            (the default) is the only value: the compact kernels are
+            the one back end.  The field remains so that configs
+            naming it keep their fingerprints (and so their cache
+            keys).
     """
 
     strict: bool = False
@@ -287,7 +287,7 @@ class DriverConfig:
     engine: str = "bitset"
     region_cache: bool = False
     region_cache_dir: Optional[str] = None
-    backend: str = "auto"
+    backend: str = "compact"
 
     def fingerprint(self) -> str:
         """sha256 over the canonical JSON of every knob.
@@ -496,7 +496,8 @@ class CompilationDriver:
         machine: Target machine description.
         num_registers: r; defaults to ``machine.num_registers``.
         config: Driver knobs; keyword overrides (``strict=True`` …)
-            are applied on top of *config*.
+            are applied on top of *config* in the driver's own copy,
+            so the caller's object is never changed.
     """
 
     #: Phase names in execution order.  Fault point ``phase.<name>``
@@ -525,17 +526,15 @@ class CompilationDriver:
             machine.num_registers if num_registers is None else num_registers
         )
         cfg = config or DriverConfig()
-        for key, value in overrides.items():
+        for key in overrides:
             if not hasattr(cfg, key):
                 raise InputError("unknown driver option {!r}".format(key))
-            setattr(cfg, key, value)
+        cfg = dataclasses.replace(cfg, **overrides)
         if cfg.engine not in _ENGINE_LADDER:
             raise InputError(
                 "unknown dependence engine {!r}".format(cfg.engine)
             )
-        if cfg.backend == "auto":
-            cfg.backend = "compact"
-        if cfg.backend not in _BACKEND_LADDER:
+        if cfg.backend != "compact":
             raise InputError(
                 "unknown compiler backend {!r}".format(cfg.backend)
             )
@@ -817,10 +816,7 @@ class CompilationDriver:
         cfg = self.config
         mid_phase = guard.mid_phase_checker()
 
-        def build(
-            target: str, backend: Optional[str] = None
-        ) -> ParallelInterferenceGraph:
-            backend = cfg.backend if backend is None else backend
+        def build(target: str) -> ParallelInterferenceGraph:
             cache = self._region_cache(target)
             if cache is not None:
                 from repro.pipeline.incremental import build_incremental_pig
@@ -829,12 +825,12 @@ class CompilationDriver:
                     work, self.machine, cache,
                     use_regions=cfg.use_regions,
                     config_fingerprint=cfg.fingerprint(),
-                    check_deadline=mid_phase, backend=backend,
+                    check_deadline=mid_phase,
                 )
             return build_parallel_interference_graph(
                 work, self.machine,
                 use_regions=cfg.use_regions, engine=target,
-                check_deadline=mid_phase, backend=backend,
+                check_deadline=mid_phase,
             )
 
         ladder = _ENGINE_LADDER[engine]
@@ -846,10 +842,7 @@ class CompilationDriver:
             def rung(target: str = target) -> ParallelInterferenceGraph:
                 fast = build(target)
                 if cfg.paranoid:
-                    # The cross-check rebuilds with the reference
-                    # *backend* too, so a compact-interference
-                    # divergence is caught alongside engine bugs.
-                    slow = build("reference", backend="reference")
+                    slow = build("reference")
                     if _pig_signature(fast) != _pig_signature(slow):
                         raise DivergenceError(
                             "{} and reference engines disagree on "
@@ -921,55 +914,26 @@ class CompilationDriver:
             guard.run("color", overflow, recoverable=True)
         except _PhaseError:
             report.note_recovery("chaitin spill fallback")
-            return self._chaitin_fallback(original, guard, report, engine)
+            return self._chaitin_fallback(original, guard, engine)
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _chaitin_fallback(
-        self,
-        work: Function,
-        guard: PhaseGuard,
-        report: CompileReport,
-        engine: str,
+        self, work: Function, guard: PhaseGuard, engine: str
     ):
         """Ladder rung: classic Chaitin coloring on the interference
-        graph alone, spilling until colorable.  Gives up the spill-free
-        Theorem 1 guarantee in exchange for always terminating with a
-        correct program.
-
-        With the compact backend the loop runs on bitrows first
-        (:func:`repro.regalloc.compact.compact_chaitin_allocate`,
-        cross-checked per round in paranoid mode) and degrades to the
-        reference loop on any failure or divergence."""
+        graph alone, spilling until colorable
+        (:func:`repro.regalloc.compact.chaitin_allocate`).  Gives up the
+        spill-free Theorem 1 guarantee in exchange for always
+        terminating with a correct program.  It is the last ``color``
+        rung: its failure fails the compile."""
         cfg = self.config
 
-        if cfg.backend == "compact":
-
-            def compact_attempt():
-                from repro.regalloc.compact import compact_chaitin_allocate
-
-                return compact_chaitin_allocate(
-                    work.copy(),
-                    self.num_registers,
-                    max_rounds=cfg.max_spill_rounds,
-                    paranoid=cfg.paranoid,
-                    check_deadline=guard.mid_phase_checker(),
-                )
-
-            try:
-                prepared, assignment, spill_ops = guard.run(
-                    "color", compact_attempt, recoverable=True
-                )
-                return prepared, assignment, _AllocMeta(
-                    mode="chaitin", spill_operations=spill_ops, engine=engine
-                )
-            except _PhaseError:
-                report.note_recovery("reference backend")
-
         def attempt():
-            return _chaitin_allocate(
+            return chaitin_allocate(
                 work.copy(),
                 self.num_registers,
                 max_rounds=cfg.max_spill_rounds,
+                check_deadline=guard.mid_phase_checker(),
             )
 
         prepared, assignment, spill_ops = guard.run("color", attempt)
@@ -1015,18 +979,17 @@ class CompilationDriver:
         report: CompileReport,
         engine: str = "bitset",
     ) -> int:
-        """Cycle count of the allocated program, through the back-end
-        ladder: compact augmented scheduling (array worklists)
-        degrades to the reference augmented scheduler, which degrades
-        to the plain list scheduler.  In paranoid mode the compact
-        rung cross-checks every block schedule against the reference
-        scheduler and degrades on divergence."""
+        """Cycle count of the allocated program: augmented scheduling
+        per block (E_f-driven), degrading to the plain list scheduler
+        over the whole program."""
 
         mid_phase = guard.mid_phase_checker()
         cache = self._region_cache(engine)
         cfg = self.config
 
-        def augmented(backend: str) -> int:
+        def augmented() -> int:
+            # Looked up at call time: the perfbench layer trace
+            # patches it in its home module.
             from repro.sched.augmented import compact_augmented_schedule
 
             total = 0
@@ -1053,37 +1016,15 @@ class CompilationDriver:
                     fdg = false_dependence_graph(
                         sg, self.machine, check_deadline=mid_phase
                     )
-                if backend == "compact":
-                    schedule = compact_augmented_schedule(
-                        sg, fdg, self.machine
-                    )
-                    if cfg.paranoid:
-                        slow = augmented_schedule(sg, fdg, self.machine)
-                        if slow.cycle_of != schedule.cycle_of:
-                            raise DivergenceError(
-                                "compact and reference schedulers disagree "
-                                "on {!r} (paranoid cross-check)".format(
-                                    block.name
-                                )
-                            )
-                else:
-                    schedule = augmented_schedule(sg, fdg, self.machine)
+                schedule = compact_augmented_schedule(sg, fdg, self.machine)
                 total += schedule.makespan
             return total
 
         def plain() -> int:
             return simulate_function(allocated, self.machine).total_cycles
 
-        ladder = _BACKEND_LADDER[cfg.backend]
-        for pos, backend in enumerate(ladder):
-            def attempt(b: str = backend) -> int:
-                return augmented(b)
-            try:
-                return guard.run("schedule", attempt, recoverable=True)
-            except _PhaseError:
-                report.note_recovery(
-                    "reference backend"
-                    if pos + 1 < len(ladder)
-                    else "list scheduler"
-                )
+        try:
+            return guard.run("schedule", augmented, recoverable=True)
+        except _PhaseError:
+            report.note_recovery("list scheduler")
         return guard.run("schedule", plain)

@@ -62,7 +62,6 @@ from repro.core.parallel_interference import (
     ParallelInterferenceGraph,
     _insert_edges_fast,
     _splice_false_edges,
-    interference_for_backend,
 )
 from repro.core.scheduling_value import region_value_rows
 from repro.deps.bitset import DependenceBitKernel, InstructionIndex
@@ -80,6 +79,7 @@ from repro.ir.instructions import Instruction
 from repro.ir.printer import format_instruction
 from repro.machine.model import MachineDescription
 from repro.obs import get_metrics, get_tracer
+from repro.regalloc.interference import build_interference_graph
 from repro.utils import faults
 
 #: Regions/blocks below this many instructions are built inline
@@ -432,7 +432,6 @@ def build_incremental_pig(
     use_regions: bool = True,
     config_fingerprint: str = "",
     check_deadline: Optional[Callable[[], None]] = None,
-    backend: str = "reference",
 ) -> ParallelInterferenceGraph:
     """Build G for *fn* compiling only the regions the cache misses.
 
@@ -451,7 +450,7 @@ def build_incremental_pig(
     tracer = get_tracer()
     armed = bool(faults.active_specs())
     with tracer.span("pig.incremental.build", function=fn.name):
-        interference = interference_for_backend(fn, backend)
+        interference = build_interference_graph(fn)
         def_to_web = web_of_definition(interference.webs)
         if use_regions:
             regions = schedule_regions(fn)

@@ -31,13 +31,10 @@ from repro.deps.schedule_graph import block_schedule_graph
 from repro.ir.function import Function
 from repro.machine.model import MachineDescription
 from repro.pipeline.verify import find_false_dependences
-from repro.regalloc.assignment import apply_assignment, make_assignment
-from repro.regalloc.chaitin import chaitin_color, classic_h
-from repro.regalloc.interference import build_interference_graph
-from repro.regalloc.spill import insert_spill_code, make_cost_function
+from repro.regalloc.assignment import apply_assignment
+from repro.regalloc.compact import chaitin_allocate
 from repro.sched.list_scheduler import list_schedule
 from repro.sched.simulator import simulate_function
-from repro.utils.errors import AllocationError
 
 
 @dataclass
@@ -113,32 +110,6 @@ class Strategy(abc.ABC):
         )
 
 
-def _chaitin_allocate(
-    fn: Function,
-    num_registers: int,
-    max_rounds: int = 12,
-):
-    """Shared Chaitin spill-until-colorable loop.
-
-    Returns (prepared_fn, assignment, spill_operations).
-    """
-    work = fn
-    spill_ops = 0
-    for _round in range(max_rounds + 1):
-        graph = build_interference_graph(work)
-        cost = make_cost_function(work)
-        metric = classic_h(graph.graph, cost)
-        result = chaitin_color(graph.graph, num_registers, spill_metric=metric)
-        if not result.has_spills:
-            assignment = make_assignment(graph, result.coloring)
-            return work, assignment, spill_ops
-        work, report = insert_spill_code(work, result.spilled)
-        spill_ops += report.stores_added + report.reloads_added
-    raise AllocationError(
-        "Chaitin spilling did not converge within {} rounds".format(max_rounds)
-    )
-
-
 class AllocateThenSchedule(Strategy):
     """Chaitin allocation in input order, then post-pass scheduling."""
 
@@ -146,7 +117,7 @@ class AllocateThenSchedule(Strategy):
 
     def run(self, fn, machine, num_registers=None):
         r = machine.num_registers if num_registers is None else num_registers
-        prepared, assignment, spill_ops = _chaitin_allocate(fn.copy(), r)
+        prepared, assignment, spill_ops = chaitin_allocate(fn.copy(), r)
         allocated = apply_assignment(assignment)
         return self._finish(
             fn,
@@ -177,7 +148,7 @@ class ScheduleThenAllocate(Strategy):
             sg = block_schedule_graph(block, machine=machine)
             schedule = list_schedule(sg, machine)
             block.reorder(schedule.instructions_in_order())
-        prepared, assignment, spill_ops = _chaitin_allocate(scheduled, r)
+        prepared, assignment, spill_ops = chaitin_allocate(scheduled, r)
         allocated = apply_assignment(assignment)
         return self._finish(
             fn,
@@ -210,7 +181,7 @@ class GoodmanHsuIPS(Strategy):
         scheduled = ips_reorder_function(
             fn.copy(), machine, r, threshold=self.threshold
         )
-        prepared, assignment, spill_ops = _chaitin_allocate(scheduled, r)
+        prepared, assignment, spill_ops = chaitin_allocate(scheduled, r)
         allocated = apply_assignment(assignment)
         return self._finish(
             fn,

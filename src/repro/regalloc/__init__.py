@@ -26,7 +26,7 @@ from repro.regalloc.compact import (
     CompactGraph,
     CompactInterference,
     build_compact_interference,
-    compact_chaitin_allocate,
+    chaitin_allocate,
     compact_chaitin_color,
     compact_classic_h,
     compact_graph_from_nx,
@@ -37,7 +37,6 @@ from repro.regalloc.chaitin import (
     classic_h,
     exact_chromatic_number,
     greedy_chromatic_upper_bound,
-    select_colors,
     uniform_cost,
     validate_coloring,
 )
@@ -63,8 +62,8 @@ __all__ = [
     "briggs_color",
     "build_compact_interference",
     "build_interference_graph",
+    "chaitin_allocate",
     "chaitin_color",
-    "compact_chaitin_allocate",
     "compact_chaitin_color",
     "compact_classic_h",
     "compact_graph_from_nx",
@@ -82,7 +81,6 @@ __all__ = [
     "choose_biased_color",
     "mov_related_pairs",
     "remove_identity_moves",
-    "select_colors",
     "split_webs_by_class",
     "web_register_class",
     "uniform_cost",

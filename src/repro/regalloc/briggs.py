@@ -11,19 +11,11 @@ existing heuristics in this framework" extension).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
 import networkx as nx
 
-from repro.regalloc.chaitin import (
-    ColoringResult,
-    Node,
-    _node_sort_key,
-    _simplify_worklist,
-    classic_h,
-    uniform_cost,
-)
-from repro.utils.errors import AllocationError
+from repro.regalloc.chaitin import ColoringResult, Node, _color_via_kernel
 
 
 def briggs_color(
@@ -38,46 +30,6 @@ def briggs_color(
     to memory before re-running.  Never spills more nodes than
     Chaitin's pessimistic rule would.
     """
-    work = graph.copy()
-    metric = spill_metric or classic_h(graph, uniform_cost)
-    stack: List[Node] = []
-
-    while work.number_of_nodes():
-        _simplify_worklist(work, num_colors, stack)
-        if not work.number_of_nodes():
-            break
-        # Optimism: push the would-be spill candidate anyway (same
-        # (metric, sort key) victim choice as the Chaitin engine).
-        victim = None
-        best = None
-        for node in work.nodes():
-            value = metric(node)
-            if value == float("inf"):
-                continue
-            if victim is None or (value, _node_sort_key(node)) < best:
-                victim = node
-                best = (value, _node_sort_key(node))
-        if victim is None:
-            raise AllocationError(
-                "irreducible register pressure: {} unspillable values "
-                "exceed {} colors".format(work.number_of_nodes(), num_colors)
-            )
-        stack.append(victim)
-        work.remove_node(victim)
-
-    coloring: Dict[Node, int] = {}
-    spilled: List[Node] = []
-    for node in reversed(stack):
-        used = {
-            coloring[nbr]
-            for nbr in graph.neighbors(node)
-            if nbr in coloring
-        }
-        color = next((c for c in range(num_colors) if c not in used), None)
-        if color is None:
-            spilled.append(node)
-        else:
-            coloring[node] = color
-    return ColoringResult(
-        coloring=coloring, spilled=spilled, selection_order=list(stack)
+    return _color_via_kernel(
+        graph, num_colors, spill_metric, optimistic=True
     )

@@ -5,20 +5,20 @@ procedure and our combined variant embed: repeatedly remove nodes of
 degree < r (they are trivially colorable), spill the cheapest node when
 stuck, then color in reverse deletion order.
 
-The module is generic over node type — the same engine colors classic
-interference graphs and, via :mod:`repro.core.coloring`, the
-parallelizable interference graph.
+The entry points take ``networkx`` graphs over any node type (webs of
+the classic interference graph or of the PIG, or plain ints) and run
+the worklist kernel of :mod:`repro.regalloc.compact` on an index copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional
 
 import networkx as nx
 
+from repro.regalloc.compact import compact_chaitin_color, compact_graph_from_nx
 from repro.utils.errors import AllocationError
-from repro.utils.faults import trip
 
 Node = Hashable
 CostFn = Callable[[Node], float]
@@ -52,39 +52,6 @@ def _node_sort_key(node: Node):
     return (1, str(node))
 
 
-def _simplify_worklist(work: nx.Graph, num_colors: int, stack: List[Node]) -> None:
-    """Drain every simplifiable node of *work* onto *stack*.
-
-    Heap-backed worklist over the sort key: the node with the lowest
-    key among those of degree < r is removed first, and a removal that
-    drops a neighbor below r pushes that neighbor — O((n + e) log n)
-    per drain, replacing the old full re-sort of ``work.nodes()`` on
-    every pass (O(n² log n) on large graphs).  The removal *set* it
-    produces is the same as the pass-based scan's (eligibility is
-    monotone under removals), so spill decisions are unchanged.
-    """
-    import heapq
-
-    seq = 0  # heap tiebreak: nodes themselves may not be comparable
-    heap = []
-    for node in work.nodes():
-        if work.degree(node) < num_colors:
-            heap.append((_node_sort_key(node), seq, node))
-            seq += 1
-    heapq.heapify(heap)
-    while heap:
-        _, _, node = heapq.heappop(heap)
-        if not work.has_node(node):
-            continue
-        neighbors = list(work.neighbors(node))
-        stack.append(node)
-        work.remove_node(node)
-        for nbr in neighbors:
-            if work.degree(nbr) == num_colors - 1:
-                heapq.heappush(heap, (_node_sort_key(nbr), seq, nbr))
-                seq += 1
-
-
 @dataclass
 class ColoringResult:
     """Outcome of one coloring round.
@@ -114,36 +81,6 @@ class ColoringResult:
             raise AllocationError("{} was spilled, has no color".format(node))
 
 
-def select_colors(
-    graph: nx.Graph,
-    stack: Sequence[Node],
-    num_colors: int,
-) -> Dict[Node, int]:
-    """Color nodes in reverse deletion order ("this is done by
-    rebuilding G a node at a time"), choosing the lowest free color.
-
-    Raises:
-        AllocationError: if some node finds no free color — cannot
-            happen when the stack came from a valid simplify pass.
-    """
-    coloring: Dict[Node, int] = {}
-    for node in reversed(list(stack)):
-        used = {
-            coloring[nbr]
-            for nbr in graph.neighbors(node)
-            if nbr in coloring
-        }
-        color = next(
-            (c for c in range(num_colors) if c not in used), None
-        )
-        if color is None:
-            raise AllocationError(
-                "no free color for {} among {}".format(node, num_colors)
-            )
-        coloring[node] = color
-    return coloring
-
-
 def chaitin_color(
     graph: nx.Graph,
     num_colors: int,
@@ -165,50 +102,38 @@ def chaitin_color(
         expected to insert spill code and re-run on the rewritten
         program, as the paper's procedure does.
     """
-    trip("regalloc.chaitin")
-    work = graph.copy()
-    metric = spill_metric or classic_h(graph, uniform_cost)
-    stack: List[Node] = []
-    spilled: List[Node] = []
+    return _color_via_kernel(graph, num_colors, spill_metric, allow_spill)
 
-    while work.number_of_nodes():
-        # Simplify: remove any node with degree < r (worklist drain —
-        # lowest sort key first, O(1) eligibility updates).
-        _simplify_worklist(work, num_colors, stack)
-        if not work.number_of_nodes():
-            break
-        # Blocked: every remaining node has degree >= r.  Spill the
-        # node minimizing the metric; infinite-metric nodes (spill
-        # temporaries) are never victims.  Ties break on the sort key,
-        # as the old sorted-candidates scan did.
-        if not allow_spill:
-            raise AllocationError(
-                "graph needs more than {} colors and spilling is "
-                "disabled (stuck at {} nodes)".format(
-                    num_colors, work.number_of_nodes()
-                )
-            )
-        victim = None
-        best = None
-        for node in work.nodes():
-            value = metric(node)
-            if value == float("inf"):
-                continue
-            if victim is None or (value, _node_sort_key(node)) < best:
-                victim = node
-                best = (value, _node_sort_key(node))
-        if victim is None:
-            raise AllocationError(
-                "irreducible register pressure: {} unspillable values "
-                "exceed {} colors".format(work.number_of_nodes(), num_colors)
-            )
-        spilled.append(victim)
-        work.remove_node(victim)
 
-    coloring = select_colors(graph.subgraph(stack), stack, num_colors)
-    return ColoringResult(
-        coloring=coloring, spilled=spilled, selection_order=list(stack)
+def _color_via_kernel(
+    graph: nx.Graph,
+    num_colors: int,
+    spill_metric: Optional[Callable[[Node], float]] = None,
+    allow_spill: bool = True,
+    optimistic: bool = False,
+) -> ColoringResult:
+    """Color a ``networkx`` graph with the worklist kernel
+    :func:`repro.regalloc.compact.compact_chaitin_color`.
+
+    Nodes become indices in :func:`_node_sort_key` order, which is the
+    kernel's tie-break (lowest index first among simplifiable nodes;
+    spill victims minimize ``(metric, index)``).  A callable metric is
+    evaluated once per node; infinite values are never spilled.
+    *optimistic* selects Briggs' rule (see
+    :func:`repro.regalloc.briggs.briggs_color`).
+    """
+    compact, nodes = compact_graph_from_nx(graph)
+    metric = None
+    if spill_metric is not None:
+        metric = [spill_metric(node) for node in nodes]
+    result = compact_chaitin_color(
+        compact,
+        num_colors,
+        spill_metric=metric,
+        allow_spill=allow_spill,
+        optimistic=optimistic,
     )
+    return result.to_result(nodes)
 
 
 def greedy_chromatic_upper_bound(graph: nx.Graph) -> int:

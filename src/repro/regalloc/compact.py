@@ -1,30 +1,28 @@
 """Compact (index-based) interference and coloring kernels.
 
-The reference back half of the pipeline walks object graphs: the
-interference builder inserts edges one ``networkx`` call at a time and
-the Chaitin engine re-sorts the remaining nodes every simplify pass.
-This module is the compact twin, mirroring the PR 1/6 kernel-versus-
-reference pattern: webs are referred to only by their dense ``index``,
-adjacency is one big-int bitrow per web (bit j of row i = webs i and j
-interfere), degrees live in a flat list, and simplify/spill/select run
-as a heap-backed worklist with O(1) degree decrement and neighbor-color
-bitmask selection.
+The back half of the allocator runs here: webs are referred to only
+by their dense ``index``, adjacency is one big-int bitrow per web (bit
+j of row i = webs i and j interfere), degrees live in a flat list, and
+simplify/spill/select run as a heap-backed worklist with O(1) degree
+decrement and neighbor-color bitmask selection.
 
-Equivalence contract (pinned by ``tests/regalloc/test_compact.py``):
+* :func:`build_compact_interference` builds G_r; the ``networkx``
+  form that assignment and the PIG consume is its
+  :meth:`~CompactInterference.to_reference` (which is what
+  :func:`repro.regalloc.interference.build_interference_graph`
+  returns).
+* :func:`compact_chaitin_color` is one Chaitin (or Briggs) round with
+  a fixed tie-break: lowest index among simplifiable nodes; spill
+  victims minimize ``(metric, index)``.  The ``networkx`` entry points
+  :func:`repro.regalloc.chaitin.chaitin_color` and
+  :func:`repro.regalloc.briggs.briggs_color` adapt to it.
+* :func:`chaitin_allocate` is the Chaitin spill-until-colorable loop:
+  the baseline strategies and the driver's Chaitin rung call it.
 
-* :func:`build_compact_interference` produces exactly the edge set of
-  :func:`repro.regalloc.interference.build_interference_graph` —
-  the interval extraction and stabbing logic are shared, only the edge
-  sink differs (bitrows, bulk-set with numpy, instead of
-  ``Graph.add_edge``).
-* :func:`compact_chaitin_color` reproduces the worklist reference
-  :func:`repro.regalloc.chaitin.chaitin_color` node for node — same
-  stack, same spill sequence, same colors — under the fixed tie-break
-  (lowest index among eligible nodes; spill victims minimize
-  ``(metric, index)``).
-* :func:`compact_chaitin_allocate` is the driver's compact rung of the
-  Chaitin fallback: identical spill rounds and assignment to
-  :func:`repro.pipeline.strategies._chaitin_allocate`.
+The networkx implementations these kernels replaced are kept as
+frozen test oracles in ``tests/regalloc/regalloc_oracle.py``; the
+equivalence suite (``tests/regalloc/test_compact.py``) pins the
+kernels to them edge for edge, node for node and round for round.
 """
 
 from __future__ import annotations
@@ -45,7 +43,9 @@ from repro.analysis.reaching import DefPoint, reaching_definitions
 from repro.analysis.webs import Web, build_webs, web_of_definition
 from repro.ir.function import Function
 from repro.ir.operands import Register
+from repro.regalloc.assignment import make_assignment
 from repro.regalloc.interference import InterferenceGraph, _interval_owner
+from repro.regalloc.spill import insert_spill_code, make_cost_function
 from repro.utils.errors import AllocationError
 from repro.utils.faults import trip
 
@@ -54,7 +54,7 @@ __all__ = [
     "CompactGraph",
     "CompactInterference",
     "build_compact_interference",
-    "compact_chaitin_allocate",
+    "chaitin_allocate",
     "compact_chaitin_color",
     "compact_classic_h",
     "compact_graph_from_nx",
@@ -130,7 +130,7 @@ def _bit_indices(mask: int) -> List[int]:
 
 
 def compact_graph_from_nx(graph) -> Tuple[CompactGraph, List]:
-    """Adapt a ``networkx`` graph: nodes ordered by the reference
+    """Adapt a ``networkx`` graph: nodes ordered by the coloring
     tie-break key (webs by index, else by ``str``) become indices
     ``0..n-1``.  Returns the compact graph plus the node list, so
     results map back (``nodes[i]`` is compact node i)."""
@@ -152,15 +152,15 @@ def compact_graph_from_nx(graph) -> Tuple[CompactGraph, List]:
 @dataclass
 class CompactInterference:
     """G_r in compact form, with enough provenance to materialize the
-    reference :class:`InterferenceGraph` (``make_assignment`` and the
-    PIG splice consume the networkx form).
+    networkx :class:`InterferenceGraph` (``make_assignment`` and the
+    PIG splice consume that form).
 
     Attributes:
         graph: Bitrow adjacency over web indices.
         webs: All webs in deterministic order (``webs[i].index == i``).
         liveness: The liveness solution the build consumed.
-        intervals_of: Per web, the live intervals it spans (same
-            contents and order as the reference builder's).
+        intervals_of: Per web, the live intervals it spans, in block
+            and interval order.
         chains: Def-use chains (reused by assignment rewriting).
         function: The analyzed function.
     """
@@ -196,7 +196,8 @@ def _reach_in_defs_for(
     fn: Function,
 ) -> Dict[str, Dict[Register, List[DefPoint]]]:
     """Reaching definitions at each block entry, grouped per register —
-    the live-in pseudo-interval owner lookup of the reference builder."""
+    the table :func:`_interval_owner` reads for live-in
+    pseudo-intervals."""
     reach = reaching_definitions(fn)
     reach_in_defs: Dict[str, Dict[Register, List[DefPoint]]] = {}
     for block in fn.blocks():
@@ -218,7 +219,9 @@ def _block_owned_spans(
     closed_end: bool,
 ) -> Tuple[List[int], List[int], List[int]]:
     """One block's conflict spans as parallel (start, hi, web-index)
-    lists — the exact spans the reference stabbing loop builds."""
+    lists: a span runs from the definition statement to the last
+    statement the value is live in (the last use too under
+    *closed_end*), never shorter than the definition itself."""
     intervals = block_live_intervals(
         block,
         live_out=liveness.live_out[block.name],
@@ -272,28 +275,32 @@ def build_compact_interference(
 ) -> CompactInterference:
     """Build G_r for *fn* on bitrows.
 
-    Same construction as the reference builder — shared liveness,
-    shared interval extraction, shared owner lookup, shared stabbing
-    query — with the edge sink swapped for bitrow bulk insertion
-    (numpy ``bitwise_or.at`` over a packed uint64 matrix), and the
-    reaching-definition pass skipped when no block is entered with a
-    locally-defined register live (the only case the owner lookup
-    consults it).
+    Two intervals conflict exactly when one's definition statement
+    falls inside the other's conflict span.  Per block that is an
+    interval-stabbing query over sorted definition positions (numpy
+    ``searchsorted``); the conflicting web pairs are bulk-set into a
+    packed uint64 matrix (``bitwise_or.at``) that becomes one big-int
+    row per web.  The reaching-definition pass is skipped when no
+    block is entered with a locally-defined register live (the only
+    case the owner lookup consults it).
 
     Args:
         fn: The function (single- or multi-block).
-        closed_end: Closed-interval convention (as in the reference).
+        closed_end: Use the closed-interval convention (the last-use
+            statement counts as part of the interval, forbidding reuse
+            in that statement).  The paper — and the default — uses
+            the open convention.
     """
     liveness = live_variables(fn)
     chains = shared_def_use_chains(fn)
     webs = build_webs(fn, chains)
     def_to_web = web_of_definition(webs)
 
-    # The reference builder always runs reaching definitions, but its
-    # result is only read for live-in pseudo-intervals of registers
-    # that have at least one definition (others cannot resolve to a
-    # web).  Skip the pass when no such register is live into any
-    # block — notably every single-entry straight-line function.
+    # Reaching definitions are only read for live-in pseudo-intervals
+    # of registers that have at least one definition (others cannot
+    # resolve to a web).  Skip the pass when no such register is live
+    # into any block — notably every single-entry straight-line
+    # function.
     defined = {point.register for point in def_to_web}
     needs_reach = any(
         not defined.isdisjoint(liveness.live_in[block.name])
@@ -356,7 +363,7 @@ def build_compact_interference(
 
 @dataclass
 class CompactColoring:
-    """Outcome of one compact coloring round (index-domain twin of
+    """Outcome of one compact coloring round (the index-domain form of
     :class:`repro.regalloc.chaitin.ColoringResult`).
 
     Attributes:
@@ -380,7 +387,7 @@ class CompactColoring:
         }
 
     def to_result(self, nodes: Sequence):
-        """The reference :class:`ColoringResult` over *nodes*."""
+        """The :class:`ColoringResult` over *nodes*."""
         from repro.regalloc.chaitin import ColoringResult
 
         return ColoringResult(
@@ -411,8 +418,8 @@ def compact_chaitin_color(
 ) -> CompactColoring:
     """One round of Chaitin (or, with *optimistic*, Briggs) coloring.
 
-    The worklist discipline matches the reference engines' fixed
-    tie-break: among simplifiable nodes the lowest index is removed
+    The worklist runs under a fixed tie-break: among simplifiable
+    nodes the lowest index is removed
     first (a min-heap with lazy invalidation — degrees decrement in
     O(1) against the live-neighbor bitrow); when blocked, the victim
     minimizes ``(metric, index)`` over the remaining nodes.  Selection
@@ -432,6 +439,7 @@ def compact_chaitin_color(
     """
     import heapq
 
+    trip("regalloc.chaitin")
     n = graph.n
     if spill_metric is None:
         spill_metric = compact_classic_h(graph)
@@ -522,34 +530,25 @@ def compact_chaitin_color(
 
 
 # ----------------------------------------------------------------------
-# The compact Chaitin allocation loop (driver fallback rung)
+# The Chaitin allocation loop
 # ----------------------------------------------------------------------
 
 
-def compact_chaitin_allocate(
+def chaitin_allocate(
     fn: Function,
     num_registers: int,
     max_rounds: int = 12,
-    paranoid: bool = False,
     check_deadline: Optional[Callable[[], None]] = None,
 ):
-    """Compact twin of the strategies' Chaitin spill-until-colorable
-    loop: compact interference + worklist coloring, spill code between
-    rounds, reference :func:`make_assignment` at the end.
+    """The Chaitin spill-until-colorable loop: interference, one
+    coloring round, spill code between rounds, :func:`make_assignment`
+    at the end.
 
-    With *paranoid*, every round cross-checks edges, spill set, and
-    coloring against the reference path and raises
-    :class:`~repro.utils.errors.DivergenceError` on any mismatch (the
-    driver then degrades to the reference backend rung).
     *check_deadline*, when given, is polled once per spill round and
     raises to preempt a compile whose budget ran out.
 
     Returns ``(prepared_fn, assignment, spill_operations)``.
     """
-    from repro.regalloc.assignment import make_assignment
-    from repro.regalloc.spill import insert_spill_code, make_cost_function
-
-    trip("regalloc.compact")
     work = fn
     spill_ops = 0
     for _round in range(max_rounds + 1):
@@ -562,12 +561,9 @@ def compact_chaitin_allocate(
         result = compact_chaitin_color(
             compact.graph, num_registers, spill_metric=metric
         )
-        if paranoid:
-            _cross_check_round(work, num_registers, compact, result)
         if not result.has_spills:
-            reference = compact.to_reference()
             assignment = make_assignment(
-                reference, result.coloring_dict(compact.webs)
+                compact.to_reference(), result.coloring_dict(compact.webs)
             )
             return work, assignment, spill_ops
         work, report = insert_spill_code(
@@ -577,43 +573,3 @@ def compact_chaitin_allocate(
     raise AllocationError(
         "Chaitin spilling did not converge within {} rounds".format(max_rounds)
     )
-
-
-def _cross_check_round(
-    work: Function,
-    num_registers: int,
-    compact: CompactInterference,
-    result: CompactColoring,
-) -> None:
-    """Paranoid-mode guard: one allocation round of the compact path
-    must match the reference path bit for bit."""
-    from repro.pipeline.strategies import _chaitin_allocate  # noqa: F401
-    from repro.regalloc.chaitin import chaitin_color, classic_h
-    from repro.regalloc.interference import build_interference_graph
-    from repro.regalloc.spill import make_cost_function
-    from repro.utils.errors import DivergenceError
-
-    reference = build_interference_graph(work)
-    ref_edges = {
-        (a.index, b.index) for a, b in reference.edge_list()
-    }
-    if set(compact.graph.edge_list()) != ref_edges:
-        raise DivergenceError(
-            "compact and reference interference disagree on {!r} "
-            "(paranoid cross-check)".format(work.name)
-        )
-    cost = make_cost_function(work)
-    ref_result = chaitin_color(
-        reference.graph,
-        num_registers,
-        spill_metric=classic_h(reference.graph, cost),
-    )
-    if [w.index for w in ref_result.spilled] != result.spilled or {
-        w.index: c for w, c in ref_result.coloring.items()
-    } != {
-        i: c for i, c in enumerate(result.colors) if c is not None
-    }:
-        raise DivergenceError(
-            "compact and reference coloring disagree on {!r} "
-            "(paranoid cross-check)".format(work.name)
-        )

@@ -15,21 +15,15 @@ representing all the live intervals of the definitions v_i".
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from repro.analysis.defuse import DefUseChains, shared_def_use_chains
-from repro.analysis.liveness import (
-    LiveInterval,
-    LivenessInfo,
-    block_live_intervals,
-    live_variables,
-)
-from repro.analysis.reaching import DefPoint, reaching_definitions
-from repro.analysis.webs import Web, build_webs, web_of_definition
+from repro.analysis.defuse import DefUseChains
+from repro.analysis.liveness import LiveInterval
+from repro.analysis.reaching import DefPoint
+from repro.analysis.webs import Web
 from repro.ir.function import Function
 from repro.ir.operands import Register
 from repro.utils.errors import AllocationError
@@ -133,6 +127,11 @@ def build_interference_graph(
 ) -> InterferenceGraph:
     """Build G_r for *fn*.
 
+    The edges come from the bitrow builder
+    (:func:`repro.regalloc.compact.build_compact_interference`) and are
+    bulk-inserted into the ``networkx`` form that assignment and the
+    PIG consume.
+
     Args:
         fn: The function (single- or multi-block).
         closed_end: Use the closed-interval convention (the last-use
@@ -140,68 +139,7 @@ def build_interference_graph(
             in that statement).  The paper — and the default — uses the
             open convention.
     """
-    liveness: LivenessInfo = live_variables(fn)
-    chains = shared_def_use_chains(fn)
-    webs = build_webs(fn, chains)
-    def_to_web = web_of_definition(webs)
+    # Imported here: the compact builder imports this module.
+    from repro.regalloc.compact import build_compact_interference
 
-    reach = reaching_definitions(fn)
-    reach_in_defs: Dict[str, Dict[Register, List[DefPoint]]] = {}
-    for block in fn.blocks():
-        per_reg: Dict[Register, List[DefPoint]] = {}
-        for point in sorted(
-            reach.reach_in[block.name], key=lambda p: p.instruction.uid
-        ):
-            per_reg.setdefault(point.register, []).append(point)
-        reach_in_defs[block.name] = per_reg
-
-    graph = nx.Graph()
-    for web in webs:
-        graph.add_node(web)
-    intervals_of: Dict[Web, List[LiveInterval]] = {web: [] for web in webs}
-
-    for block in fn.blocks():
-        live_out = liveness.live_out[block.name]
-        live_in = liveness.live_in[block.name]
-        intervals = block_live_intervals(
-            block, live_out=live_out, live_in=live_in, include_live_in=True
-        )
-        owned: List[Tuple[LiveInterval, Web]] = []
-        for interval in intervals:
-            web = _interval_owner(interval, def_to_web, reach_in_defs)
-            if web is None:
-                continue  # dead live-in with no reaching def web
-            owned.append((interval, web))
-            intervals_of[web].append(interval)
-        # Two intervals conflict exactly when one's definition
-        # statement falls inside the other's conflict span
-        # [start, hi] (LiveInterval.covers_definition_at, with the
-        # degenerate hi<=start span collapsing to the def statement
-        # itself).  That is an interval-stabbing query: sort the def
-        # positions once, then each interval finds its conflicting
-        # partners as one binary search plus a contiguous slice —
-        # O(k log k + hits) per block instead of the all-pairs O(k^2)
-        # scan, which dominated PIG construction on large blocks.
-        spans: List[Tuple[int, int, Web]] = []
-        for interval, web in owned:
-            hi = interval.end if closed_end else interval.end - 1
-            spans.append((interval.start, max(hi, interval.start), web))
-        order = sorted(range(len(spans)), key=lambda k: spans[k][0])
-        def_positions = [spans[k][0] for k in order]
-        for i, (start, hi, web_a) in enumerate(spans):
-            for k in range(bisect_left(def_positions, start),
-                           bisect_right(def_positions, hi)):
-                j = order[k]
-                if j == i:
-                    continue
-                web_b = spans[j][2]
-                if web_a is not web_b:
-                    graph.add_edge(web_a, web_b)
-
-    return InterferenceGraph(
-        graph=graph,
-        webs=webs,
-        intervals_of=intervals_of,
-        chains=chains,
-        function=fn,
-    )
+    return build_compact_interference(fn, closed_end=closed_end).to_reference()

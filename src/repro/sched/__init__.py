@@ -1,7 +1,7 @@
 """Instruction scheduling: EP numbers, pre-scheduling, list scheduling,
 region scheduling and the cycle-level issue simulator."""
 
-from repro.sched.augmented import augmented_schedule, compact_augmented_schedule
+from repro.sched.augmented import compact_augmented_schedule
 from repro.sched.ips import IPSResult, ips_reorder_function, ips_schedule
 from repro.sched.ep import (
     EPAnalysis,
@@ -19,7 +19,6 @@ from repro.sched.global_scheduler import (
 )
 from repro.sched.list_scheduler import (
     Schedule,
-    compact_list_schedule,
     critical_path_priority,
     inorder_issue_schedule,
     list_schedule,
@@ -41,9 +40,7 @@ __all__ = [
     "Schedule",
     "SimulationResult",
     "analyze_ep",
-    "augmented_schedule",
     "compact_augmented_schedule",
-    "compact_list_schedule",
     "critical_path_priority",
     "ep_linear_order",
     "initial_ep",

@@ -19,13 +19,11 @@ the worked examples.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.deps.false_dependence import FalseDependenceGraph
 from repro.deps.schedule_graph import ScheduleGraph
-from repro.ir.instructions import Instruction
 from repro.machine.model import MachineDescription
-from repro.machine.resources import ReservationTable
 from repro.obs import get_metrics, get_tracer
 from repro.sched.list_scheduler import (
     PriorityFn,
@@ -37,7 +35,7 @@ from repro.utils.errors import SchedulingError
 from repro.utils.faults import trip
 
 
-def augmented_schedule(
+def compact_augmented_schedule(
     sg: ScheduleGraph,
     fdg: FalseDependenceGraph,
     machine: MachineDescription,
@@ -45,148 +43,28 @@ def augmented_schedule(
 ) -> Schedule:
     """Schedule *sg* using E_f as the per-cycle availability relation.
 
+    Per cycle, the seed is the first ready candidate in (-priority,
+    uid) order that the reservation table admits, and each extension
+    step takes the first still-ready member of the group's E_f
+    availability list that the table admits (pairwise co-issueability
+    does not imply a whole group fits, so joint feasibility is still
+    checked).  Candidates wait in a ready-cycle heap, and two
+    monotonicity facts make per-cycle rejection final (table occupancy
+    only grows within a cycle, and the group mask only shrinks), so
+    rejected candidates are skipped instead of re-scanned every pass.
+
     Args:
         sg: The (symbolic-register) schedule graph.
         fdg: Its false-dependence graph — E_f membership (bit tests
             against ``fdg.coissue_mask`` when kernel-backed) drives
             which instructions may join a started cycle.
-        machine: Resource model (joint feasibility still checked).
+        machine: Resource model.
         priority: Seed selection priority; defaults to critical path.
+            Evaluated once per instruction, so it must be pure.
 
     Returns:
         A verified :class:`Schedule`.
     """
-    trip("sched.augmented")
-    sg.check_acyclic()
-    if priority is None:
-        priority = critical_path_priority(sg)
-
-    table = ReservationTable(machine)
-    cycle_of: Dict[Instruction, int] = {}
-    ready_at: Dict[Instruction, int] = {}
-    remaining_preds = {
-        instr: sg.graph.in_degree(instr) for instr in sg.instructions
-    }
-    ready: List[Instruction] = [
-        instr for instr in sg.instructions if remaining_preds[instr] == 0
-    ]
-    for instr in ready:
-        ready_at[instr] = 0
-
-    def issue(instr: Instruction, cycle: int) -> None:
-        table.issue(instr, cycle)
-        cycle_of[instr] = cycle
-        ready.remove(instr)
-        for succ in sg.graph.successors(instr):
-            remaining_preds[succ] -= 1
-            earliest = cycle + sg.delay(instr, succ)
-            ready_at[succ] = max(ready_at.get(succ, 0), earliest)
-            if remaining_preds[succ] == 0:
-                ready.append(succ)
-
-    cycle = 0
-    guard_limit = (
-        sum(machine.latency_of(i) for i in sg.instructions)
-        + len(sg.instructions) + 1
-    ) * 2 + 10
-    guard = 0
-    while len(cycle_of) < len(sg.instructions):
-        guard += 1
-        if guard > guard_limit:
-            raise SchedulingError("augmented scheduler failed to progress")
-        candidates = sorted(
-            (i for i in ready if ready_at[i] <= cycle),
-            key=lambda i: (-priority(i), i.uid),
-        )
-        if not candidates or not table.can_issue(candidates[0], cycle):
-            feasible = [
-                i for i in candidates if table.can_issue(i, cycle)
-            ]
-            if not feasible:
-                cycle += 1
-                continue
-            candidates = feasible
-        # Seed the cycle with the best candidate...
-        seed = candidates[0]
-        issue(seed, cycle)
-        group = [seed]
-        # ...then extend with the seed group's E_f availability list.
-        # With a bitset kernel the group's joint availability is one
-        # mask (the AND of members' E_f rows); each candidate check is
-        # a single bit test instead of a has_false_edge loop.
-        group_mask = fdg.coissue_mask(seed)
-        if group_mask is not None:
-            position = fdg.kernel.index.position
-
-            def joins_group(i: Instruction) -> bool:
-                return bool((group_mask >> position(i)) & 1)
-
-        else:
-
-            def joins_group(i: Instruction) -> bool:
-                return all(fdg.has_false_edge(i, member) for member in group)
-
-        progress = True
-        while progress:
-            progress = False
-            available = sorted(
-                (
-                    i
-                    for i in ready
-                    if ready_at[i] <= cycle and joins_group(i)
-                ),
-                key=lambda i: (-priority(i), i.uid),
-            )
-            for instr in available:
-                if table.can_issue(instr, cycle):
-                    issue(instr, cycle)
-                    group.append(instr)
-                    if group_mask is not None:
-                        group_mask &= fdg.coissue_mask(instr)
-                    progress = True
-                    break
-        cycle += 1
-
-    schedule = Schedule(cycle_of=cycle_of, machine=machine)
-    schedule.verify(sg)
-
-    issued = len(sg.instructions)
-    slots = schedule.makespan * machine.issue_width
-    utilization = round(issued / slots, 4) if slots else 0.0
-    get_tracer().event(
-        "sched.block",
-        cycles=schedule.makespan,
-        issued=issued,
-        slots=slots,
-        utilization=utilization,
-    )
-    metrics = get_metrics()
-    metrics.counter("sched.blocks").inc()
-    metrics.counter("sched.cycles").inc(schedule.makespan)
-    metrics.counter("sched.issued").inc(issued)
-    metrics.histogram("sched.slot_utilization").observe(utilization)
-    return schedule
-
-
-def compact_augmented_schedule(
-    sg: ScheduleGraph,
-    fdg: FalseDependenceGraph,
-    machine: MachineDescription,
-    priority: Optional[PriorityFn] = None,
-) -> Schedule:
-    """Array-based fast path of :func:`augmented_schedule`.
-
-    Bit-identical output under the same seed/extension semantics: per
-    cycle, the seed is the first candidate in (-priority, uid) order
-    the reservation table admits, and each extension step takes the
-    first still-ready E_f-availability-list member it admits.  The
-    speed comes from candidates waiting in a ready-cycle heap, the
-    compact reservation counters, and two monotonicity facts that make
-    per-cycle rejection final (table occupancy only grows within a
-    cycle, and the group mask only shrinks), so rejected candidates
-    are skipped instead of re-scanned every pass.
-    """
-    trip("sched.compact")
     trip("sched.augmented")
     sg.check_acyclic()
     if priority is None:

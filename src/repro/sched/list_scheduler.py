@@ -119,75 +119,8 @@ def critical_path_priority(sg: ScheduleGraph) -> PriorityFn:
     return priority
 
 
-def list_schedule(
-    sg: ScheduleGraph,
-    machine: MachineDescription,
-    priority: Optional[PriorityFn] = None,
-) -> Schedule:
-    """Schedule *sg* onto *machine*.
-
-    Returns a verified :class:`Schedule` (every dependence delay and
-    resource constraint respected).
-    """
-    sg.check_acyclic()
-    if priority is None:
-        priority = critical_path_priority(sg)
-
-    table = ReservationTable(machine)
-    cycle_of: Dict[Instruction, int] = {}
-    ready_at: Dict[Instruction, int] = {}
-    remaining_preds: Dict[Instruction, int] = {
-        instr: sg.graph.in_degree(instr) for instr in sg.instructions
-    }
-    ready: List[Instruction] = [
-        instr for instr in sg.instructions if remaining_preds[instr] == 0
-    ]
-    for instr in ready:
-        ready_at[instr] = 0
-
-    cycle = 0
-    unscheduled = len(sg.instructions)
-    guard = 0
-    max_cycles = (
-        sum(machine.latency_of(i) for i in sg.instructions) + len(sg.instructions) + 1
-    )
-    while unscheduled:
-        guard += 1
-        if guard > max_cycles * 2 + 10:
-            raise SchedulingError("list scheduler failed to make progress")
-        # Issue until the cycle saturates.  The inner repeat matters
-        # for delay-0 (anti) edges: issuing u may make v ready in the
-        # *same* cycle — exactly the co-issue the open-interval
-        # convention allows.
-        progress = True
-        while progress:
-            progress = False
-            candidates = sorted(
-                (i for i in ready if ready_at[i] <= cycle),
-                key=lambda i: (-priority(i), i.uid),
-            )
-            for instr in candidates:
-                if table.can_issue(instr, cycle):
-                    table.issue(instr, cycle)
-                    cycle_of[instr] = cycle
-                    ready.remove(instr)
-                    unscheduled -= 1
-                    progress = True
-                    for succ in sg.graph.successors(instr):
-                        remaining_preds[succ] -= 1
-                        earliest = cycle + sg.delay(instr, succ)
-                        ready_at[succ] = max(ready_at.get(succ, 0), earliest)
-                        if remaining_preds[succ] == 0:
-                            ready.append(succ)
-        cycle += 1
-
-    schedule = Schedule(cycle_of=cycle_of, machine=machine)
-    schedule.verify(sg)
-    return schedule
-
-
 class _CompactReservation:
-    """Index-domain twin of :class:`ReservationTable`: unit kind,
+    """Index-domain form of :class:`ReservationTable`: unit kind,
     capacity, latency, and memory flags are precomputed into flat
     arrays, so ``can_issue`` is counter lookups instead of repeated
     machine-model dispatch.  Same admission semantics, including the
@@ -245,26 +178,28 @@ class _CompactReservation:
             self._mem_in_cycle.setdefault(cycle, []).append(idx)
 
 
-def compact_list_schedule(
+def list_schedule(
     sg: ScheduleGraph,
     machine: MachineDescription,
     priority: Optional[PriorityFn] = None,
 ) -> Schedule:
-    """Array-based fast path of :func:`list_schedule`.
+    """Schedule *sg* onto *machine*.
 
-    Bit-identical output (the equivalence suite pins it): same
-    priority, same (-priority, uid) candidate order, same per-cycle
-    pass semantics.  The speed comes from three changes that provably
-    cannot alter the result: candidates wait in a heap keyed by ready
-    cycle instead of being re-filtered and re-sorted from the whole
-    ready list every pass; a candidate the reservation table rejects is
-    not retried within the same cycle (table occupancy only grows
-    during a cycle, so a failed ``can_issue`` cannot succeed until the
-    cycle advances); and cycles with no ready candidates are skipped in
-    one step instead of iterated.
+    Cycle by cycle, ready instructions issue in (-priority, uid) order
+    while the reservation table admits them; issuing an instruction
+    may make a delay-0 (anti) successor ready in the *same* cycle —
+    exactly the co-issue the open-interval convention allows — so a
+    cycle keeps passing over its fresh candidates until none issues.
+    Candidates wait in a heap keyed by ready cycle; a candidate the
+    table rejects is not retried within the cycle (occupancy only
+    grows during a cycle); cycles with no ready candidate are skipped
+    in one step.
 
     *priority* must be a pure function of the instruction (the default
     critical-path priority is); it is evaluated once per instruction.
+
+    Returns a verified :class:`Schedule` (every dependence delay and
+    resource constraint respected).
     """
     sg.check_acyclic()
     if priority is None:

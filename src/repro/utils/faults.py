@@ -23,12 +23,10 @@ point                     location
 ``ir.verify``             :func:`repro.ir.verifier.verify_function`
 ``deps.bitset``           :meth:`repro.deps.bitset.DependenceBitKernel.build`
 ``core.pinter_color``     :func:`repro.core.coloring.pinter_color`
-``regalloc.chaitin``      :func:`repro.regalloc.chaitin.chaitin_color`
-``regalloc.compact``      :func:`repro.regalloc.compact.compact_chaitin_allocate`
-``sched.augmented``       :func:`repro.sched.augmented.augmented_schedule`
-                          (also fired by the compact scheduler, so the
-                          point degrades both back-end rungs)
-``sched.compact``         :func:`repro.sched.augmented.compact_augmented_schedule`
+``regalloc.chaitin``      :func:`repro.regalloc.compact.compact_chaitin_color`
+                          (every Chaitin/Briggs round: ``chaitin_color``,
+                          ``briggs_color`` and the driver's Chaitin rung)
+``sched.augmented``       :func:`repro.sched.augmented.compact_augmented_schedule`
 ``service.worker``        :mod:`repro.service.worker` child entry (batch
                           service; supports the worker-level actions)
 ``service.server``        :mod:`repro.service.server` per-request handler
@@ -158,9 +156,7 @@ LIBRARY_POINTS = frozenset({
     "deps.bitset",
     "core.pinter_color",
     "regalloc.chaitin",
-    "regalloc.compact",
     "sched.augmented",
-    "sched.compact",
     "service.worker",
     "service.server",
 })

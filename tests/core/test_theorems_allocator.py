@@ -62,7 +62,7 @@ class TestTheorem2:
         pair a fresh private color and color the rest exactly."""
         work = pig.graph.copy()
         work.remove_edge(u, v)
-        from repro.regalloc.chaitin import exact_chromatic_number, select_colors
+        from repro.regalloc.chaitin import exact_chromatic_number
         import networkx as nx
 
         merged = nx.Graph()

@@ -1,10 +1,10 @@
-"""Backend degradation ladder tests (compact → reference → list).
+"""Back-end configuration and ladder tests.
 
-The ``backend`` knob is orthogonal to the dependence ``engine``: it
-selects the index-based fast paths for interference, coloring, and
-scheduling.  Every compact rung must degrade to its reference twin
-under injected faults — and the clean compact compile must match the
-reference compile bit for bit.
+The compact kernels are the only interference builder, Chaitin loop
+and schedulers, so ``DriverConfig.backend`` accepts only
+``"compact"``, and the back-end ladders have one fallback each: the
+augmented scheduler degrades to the list scheduler, and the combined
+coloring to the Chaitin loop.
 """
 
 import pytest
@@ -39,18 +39,17 @@ def _driver(machine, **config):
 
 
 class TestConfig:
-    def test_auto_resolves_to_compact(self, machine):
-        driver = _driver(machine, backend="auto")
-        assert driver.config.backend == "compact"
-
     def test_unknown_backend_rejected(self, machine):
         with pytest.raises(InputError):
             _driver(machine, backend="turbo")
 
-    def test_backend_changes_fingerprint(self):
-        compact = DriverConfig(backend="compact")
-        reference = DriverConfig(backend="reference")
-        assert compact.fingerprint() != reference.fingerprint()
+    @pytest.mark.parametrize("backend", ["auto", "reference"])
+    def test_removed_backends_rejected(self, machine, backend):
+        with pytest.raises(InputError):
+            _driver(machine, backend=backend)
+
+    def test_default_backend_is_compact(self):
+        assert DriverConfig().backend == "compact"
 
 
 class TestLadder:
@@ -61,55 +60,19 @@ class TestLadder:
         assert outcome.ok
         assert not outcome.report.degraded
 
-    def test_sched_compact_fault_degrades_to_reference(self, machine):
-        with faults.inject("sched.compact"):
-            outcome = _driver(machine, backend="compact").compile_function(
-                example2()
-            )
-        assert outcome.ok
-        assert "reference backend" in recoveries(outcome.report)
-        clean = _driver(machine, backend="reference").compile_function(
-            example2()
-        )
-        assert outcome.result.cycles == clean.result.cycles
-
     def test_sched_augmented_fault_exhausts_both_rungs(self, machine):
-        # sched.augmented fires inside the compact scheduler too, so
-        # both backend rungs fail and the list scheduler takes over.
+        # The augmented scheduler is the only rung above the list
+        # scheduler, which takes over.
         with faults.inject("sched.augmented"):
             outcome = _driver(machine, backend="compact").compile_function(
                 example2()
             )
         assert outcome.ok
-        notes = recoveries(outcome.report)
-        assert "reference backend" in notes
-        assert "list scheduler" in notes
-
-    def test_compact_allocator_fault_degrades(self, machine):
-        # Chaitin fallback path: pinter coloring fails, then the
-        # compact allocator faults, landing on the reference allocator.
-        with faults.inject("core.pinter_color"), \
-                faults.inject("regalloc.compact"):
-            outcome = _driver(machine, backend="compact").compile_function(
-                example2()
-            )
-        assert outcome.ok
-        notes = recoveries(outcome.report)
-        assert "chaitin spill fallback" in notes
-        assert "reference backend" in notes
-
-    def test_reference_backend_ignores_compact_faults(self, machine):
-        with faults.inject("sched.compact"), \
-                faults.inject("regalloc.compact"):
-            outcome = _driver(machine, backend="reference").compile_function(
-                example2()
-            )
-        assert outcome.ok
-        assert not outcome.report.degraded
+        assert recoveries(outcome.report) == ["list scheduler"]
 
 
 class TestParanoid:
-    @pytest.mark.parametrize("backend", ["compact", "reference"])
+    @pytest.mark.parametrize("backend", ["compact"])
     def test_paranoid_clean(self, machine, backend):
         outcome = _driver(
             machine, backend=backend, paranoid=True

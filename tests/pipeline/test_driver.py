@@ -159,6 +159,20 @@ class TestColorRung:
         assert "reference engine" in got
         assert "chaitin spill fallback" in got
 
+    def test_both_color_rungs_failing_fails_the_compile(self, driver):
+        # The Chaitin loop is the last color rung: when it fails too,
+        # the compile ends with an internal failure, not a traceback.
+        with faults.inject("core.pinter_color"), \
+                faults.inject("regalloc.chaitin"):
+            outcome = driver.compile_function(example1())
+        assert not outcome.ok
+        report = outcome.report
+        assert report.exit_code == EXIT_INTERNAL
+        assert "chaitin spill fallback" in recoveries(report)
+        (error,) = report.errors()
+        assert error.phase == "color"
+        assert "regalloc.chaitin" in error.message
+
 
 class TestScheduleRung:
     def test_fault_degrades_to_list_scheduler(self, driver, machine):
@@ -259,6 +273,14 @@ class TestInvalidInput:
             CompilationDriver(machine, engine="quantum")
         with pytest.raises(InputError):
             CompilationDriver(machine, no_such_option=True)
+
+    def test_driver_leaves_callers_config_unchanged(self, machine):
+        config = DriverConfig()
+        fingerprint = config.fingerprint()
+        driver = CompilationDriver(machine, config=config, strict=True)
+        assert driver.config.strict is True
+        assert config == DriverConfig()
+        assert config.fingerprint() == fingerprint
 
 
 class TestReferenceEngineConfig:

@@ -183,7 +183,7 @@ class TestColoringCallback:
         assert "mid-phase" in error.message
 
     def test_compact_chaitin_polls_per_round(self):
-        from repro.regalloc.compact import compact_chaitin_allocate
+        from repro.regalloc.compact import chaitin_allocate
 
         with pytest.raises(BudgetExceededError):
-            compact_chaitin_allocate(example1(), 2, check_deadline=_expired)
+            chaitin_allocate(example1(), 2, check_deadline=_expired)

@@ -8,7 +8,6 @@ from repro.regalloc.chaitin import (
     classic_h,
     exact_chromatic_number,
     greedy_chromatic_upper_bound,
-    select_colors,
     uniform_cost,
     validate_coloring,
 )
@@ -93,19 +92,6 @@ class TestChaitinColor:
         edges_before = set(g.edges())
         chaitin_color(g, 2)
         assert set(g.edges()) == edges_before
-
-
-class TestSelectColors:
-    def test_reverse_order_coloring(self):
-        g = nx.Graph()
-        g.add_edge("a", "b")
-        coloring = select_colors(g, ["a", "b"], 2)
-        assert coloring["a"] != coloring["b"]
-
-    def test_impossible_selection_raises(self):
-        g = complete_graph(3)
-        with pytest.raises(AllocationError):
-            select_colors(g, list(g.nodes()), 2)
 
 
 class TestChromaticBounds:

@@ -1,27 +1,37 @@
-"""Equivalence and degenerate-case tests for the compact back-end
-kernels (:mod:`repro.regalloc.compact`).
+"""Equivalence and degenerate-case tests for the back-end kernels
+(:mod:`repro.regalloc.compact`).
 
-The contract under test: every compact structure — interference
-bitrows, worklist Chaitin/Briggs coloring, the compact allocation
-loop — is *bit-identical* to its reference twin, not merely as good.
+The contract under test: every kernel — interference bitrows, worklist
+Chaitin/Briggs coloring and its ``networkx`` adapters, the Chaitin
+allocation loop — is *bit-identical* to the frozen oracle it replaced
+(``regalloc_oracle.py``), not merely as good.
 """
+
+import functools
 
 import networkx as nx
 import pytest
 
+from regalloc_oracle import (
+    oracle_briggs_color,
+    oracle_build_interference_graph,
+    oracle_chaitin_allocate,
+    oracle_chaitin_color,
+)
+from repro.core.parallel_interference import build_parallel_interference_graph
 from repro.machine.presets import two_unit_superscalar
-from repro.pipeline.strategies import _chaitin_allocate
 from repro.regalloc.briggs import briggs_color
 from repro.regalloc.chaitin import chaitin_color, classic_h, validate_coloring
 from repro.regalloc.compact import (
     CompactGraph,
     build_compact_interference,
-    compact_chaitin_allocate,
+    chaitin_allocate,
     compact_chaitin_color,
     compact_classic_h,
     compact_graph_from_nx,
 )
 from repro.regalloc.interference import build_interference_graph
+from repro.regalloc.spill import make_cost_function
 from repro.utils.errors import AllocationError
 from repro.frontend import compile_source
 from repro.workloads import (
@@ -77,7 +87,7 @@ def _multi_block_functions():
     ids=lambda f: f.name,
 )
 def test_interference_edges_match_reference(fn):
-    ref = build_interference_graph(fn)
+    ref = oracle_build_interference_graph(fn)
     compact = build_compact_interference(fn)
     ref_edges = {(a.index, b.index) for a, b in ref.edge_list()}
     assert set(compact.graph.edge_list()) == ref_edges
@@ -88,7 +98,7 @@ def test_interference_edges_match_reference(fn):
 
 @pytest.mark.parametrize("fn", _paper_functions(), ids=lambda f: f.name)
 def test_intervals_match_reference(fn):
-    ref = build_interference_graph(fn)
+    ref = oracle_build_interference_graph(fn)
     compact = build_compact_interference(fn)
     assert [w.index for w in compact.webs] == [w.index for w in ref.webs]
     for web_c, web_r in zip(compact.webs, ref.webs):
@@ -105,8 +115,9 @@ def test_intervals_match_reference(fn):
 def test_to_reference_round_trip():
     fn = example2()
     compact = build_compact_interference(fn)
-    ref = build_interference_graph(fn)
+    ref = oracle_build_interference_graph(fn)
     assert compact.to_reference().edge_list() == ref.edge_list()
+    assert build_interference_graph(fn).edge_list() == ref.edge_list()
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +147,7 @@ def test_compact_chaitin_matches_reference_on_random_graphs(num_colors):
     for g in _random_nx_graphs():
         compact, nodes = compact_graph_from_nx(g)
         got = compact_chaitin_color(compact, num_colors).to_result(nodes)
-        want = chaitin_color(g, num_colors)
+        want = oracle_chaitin_color(g, num_colors)
         assert got.coloring == want.coloring
         assert got.spilled == want.spilled
         assert got.selection_order == want.selection_order
@@ -149,7 +160,7 @@ def test_compact_briggs_matches_reference_on_random_graphs(num_colors):
         got = compact_chaitin_color(
             compact, num_colors, optimistic=True
         ).to_result(nodes)
-        want = briggs_color(g, num_colors)
+        want = oracle_briggs_color(g, num_colors)
         assert got.coloring == want.coloring
         assert got.spilled == want.spilled
         assert got.selection_order == want.selection_order
@@ -166,7 +177,7 @@ def test_single_color_path_graph():
     g = nx.path_graph(6)
     compact, nodes = compact_graph_from_nx(g)
     got = compact_chaitin_color(compact, 1).to_result(nodes)
-    want = chaitin_color(g, 1)
+    want = oracle_chaitin_color(g, 1)
     assert got.spilled == want.spilled
     assert got.coloring == want.coloring
     validate_coloring(g.subgraph(got.coloring), got.coloring)
@@ -178,7 +189,7 @@ def test_clique_forces_maximal_spill():
     g = nx.complete_graph(8)
     compact, nodes = compact_graph_from_nx(g)
     got = compact_chaitin_color(compact, 3).to_result(nodes)
-    want = chaitin_color(g, 3)
+    want = oracle_chaitin_color(g, 3)
     assert len(got.spilled) == 5
     assert got.spilled == want.spilled
     assert got.coloring == want.coloring
@@ -208,7 +219,56 @@ def test_metric_matches_reference_h():
 
 
 # ----------------------------------------------------------------------
-# Property test: compact == reference over a fuzz corpus
+# The networkx adapters on web graphs, with and without a cost metric
+# ----------------------------------------------------------------------
+
+
+def _adapter_functions():
+    fns = [
+        example1(),
+        example2(),
+        figure6_diamond(),
+        diamond_chain(num_diamonds=4, block_size=7, seed=1),
+    ]
+    for size, window in [(40, 8), (64, 96), (96, 16)]:
+        fns.append(random_block(RandomBlockConfig(
+            size=size, window=window, load_fraction=0.3, seed=size,
+        )))
+    return {fn.name: fn for fn in fns}
+
+
+ADAPTER_FUNCTIONS = _adapter_functions()
+
+
+@functools.lru_cache(maxsize=None)
+def _adapter_graph(name, kind):
+    fn = ADAPTER_FUNCTIONS[name]
+    if kind == "ig":
+        return build_interference_graph(fn).graph
+    return build_parallel_interference_graph(fn, two_unit_superscalar()).graph
+
+
+@pytest.mark.parametrize("num_colors", [2, 4, 8, 16])
+@pytest.mark.parametrize("kind", ["ig", "pig"])
+@pytest.mark.parametrize("name", list(ADAPTER_FUNCTIONS))
+def test_adapters_match_oracles_on_web_graphs(name, kind, num_colors):
+    graph = _adapter_graph(name, kind)
+    cost_metric = classic_h(graph, make_cost_function(ADAPTER_FUNCTIONS[name]))
+    for metric in (None, cost_metric):
+        for adapter, oracle in (
+            (chaitin_color, oracle_chaitin_color),
+            (briggs_color, oracle_briggs_color),
+        ):
+            got = adapter(graph, num_colors, metric)
+            want = oracle(graph, num_colors, metric)
+            case = (adapter.__name__, metric is not None)
+            assert got.coloring == want.coloring, case
+            assert got.spilled == want.spilled, case
+            assert got.selection_order == want.selection_order, case
+
+
+# ----------------------------------------------------------------------
+# Property test: the allocation loop == the oracle loop over a corpus
 # ----------------------------------------------------------------------
 
 
@@ -233,16 +293,27 @@ def _canonical(prepared, assignment):
     return text, mapping
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_property_allocation_matches_reference(seed):
-    fn = random_block(
-        RandomBlockConfig(size=40 + 5 * seed, window=6 + seed, seed=seed)
-    )
-    for registers in (3, 5):
-        prepared_c, assign_c, ops_c = compact_chaitin_allocate(
-            fn.copy(), registers
+def _allocation_inputs():
+    params = [
+        pytest.param(
+            random_block(RandomBlockConfig(
+                size=40 + 5 * seed, window=6 + seed, seed=seed
+            )),
+            id=str(seed),
         )
-        prepared_r, assign_r, ops_r = _chaitin_allocate(
+        for seed in range(8)
+    ]
+    params += [
+        pytest.param(fn, id=fn.name) for fn in _multi_block_functions()
+    ]
+    return params
+
+
+@pytest.mark.parametrize("fn", _allocation_inputs())
+def test_property_allocation_matches_reference(fn):
+    for registers in (3, 5):
+        prepared_c, assign_c, ops_c = chaitin_allocate(fn.copy(), registers)
+        prepared_r, assign_r, ops_r = oracle_chaitin_allocate(
             fn.copy(), registers
         )
         assert ops_c == ops_r
@@ -250,33 +321,3 @@ def test_property_allocation_matches_reference(seed):
         text_r, map_r = _canonical(prepared_r, assign_r)
         assert text_c == text_r
         assert map_c == map_r
-
-
-def test_compact_allocate_paranoid_cross_check_passes():
-    fn = random_block(RandomBlockConfig(size=50, window=8, seed=17))
-    _prepared, assignment, _ops = compact_chaitin_allocate(
-        fn.copy(), 4, paranoid=True
-    )
-    assert assignment.mapping_by_name()
-
-
-def test_driver_backends_agree():
-    from repro.ir.printer import format_function
-    from repro.pipeline.driver import CompilationDriver, DriverConfig
-
-    machine = two_unit_superscalar()
-    text = format_function(example2())
-    results = {}
-    for backend in ("compact", "reference"):
-        driver = CompilationDriver(
-            machine, num_registers=3,
-            config=DriverConfig(backend=backend),
-        )
-        outcome = driver.compile_text(text, is_ir=True, name="e2")
-        assert outcome.ok
-        results[backend] = (
-            outcome.result.cycles,
-            outcome.result.registers_used,
-            outcome.result.spill_operations,
-        )
-    assert results["compact"] == results["reference"]

@@ -6,7 +6,7 @@ from repro.deps.false_dependence import block_false_dependence_graph
 from repro.deps.schedule_graph import block_schedule_graph
 from repro.deps.transitive import ordered_pair
 from repro.machine.presets import single_issue, two_unit_superscalar
-from repro.sched.augmented import augmented_schedule
+from repro.sched.augmented import compact_augmented_schedule
 from repro.sched.list_scheduler import list_schedule
 from repro.workloads import (
     ALL_KERNELS,
@@ -22,7 +22,7 @@ from repro.workloads import (
 def schedule_pair(fn, machine):
     sg = block_schedule_graph(fn.entry, machine=machine)
     fdg = block_false_dependence_graph(fn.entry, machine)
-    return sg, fdg, augmented_schedule(sg, fdg, machine)
+    return sg, fdg, compact_augmented_schedule(sg, fdg, machine)
 
 
 class TestAugmentedScheduler:
@@ -47,7 +47,7 @@ class TestAugmentedScheduler:
         ):
             sg = block_schedule_graph(fn.entry, machine=machine)
             fdg = block_false_dependence_graph(fn.entry, machine)
-            augmented = augmented_schedule(sg, fdg, machine)
+            augmented = compact_augmented_schedule(sg, fdg, machine)
             plain = list_schedule(sg, machine)
             assert augmented.makespan == plain.makespan
 
@@ -57,7 +57,7 @@ class TestAugmentedScheduler:
         machine = two_unit_superscalar()
         sg = block_schedule_graph(fn.entry, machine=machine)
         fdg = block_false_dependence_graph(fn.entry, machine)
-        augmented = augmented_schedule(sg, fdg, machine)
+        augmented = compact_augmented_schedule(sg, fdg, machine)
         plain = list_schedule(sg, machine)
         # same availability information -> same quality (small slack
         # for greedy tie-break differences).
@@ -68,7 +68,7 @@ class TestAugmentedScheduler:
         machine = single_issue()
         sg = block_schedule_graph(fn.entry, machine=machine)
         fdg = block_false_dependence_graph(fn.entry, machine)
-        schedule = augmented_schedule(sg, fdg, machine)
+        schedule = compact_augmented_schedule(sg, fdg, machine)
         assert schedule.parallel_pairs() == []
 
     @pytest.mark.parametrize("seed", range(5))

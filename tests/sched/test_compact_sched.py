@@ -1,10 +1,9 @@
-"""Bit-equivalence of the array-based compact schedulers against the
-reference dict/graph implementations.
+"""Bit-equivalence of the array-based schedulers against the frozen
+dict/graph oracles they replaced (``sched_oracle.py``).
 
-``compact_list_schedule`` and ``compact_augmented_schedule`` are fast
-paths, not approximations: every instruction must land on the same
-cycle as the reference scheduler across the paper examples, random
-blocks, and every machine preset.
+``list_schedule`` and ``compact_augmented_schedule`` must place every
+instruction on the same cycle as their oracles across the paper
+examples, random blocks, and every machine preset.
 """
 
 import pytest
@@ -12,8 +11,9 @@ import pytest
 from repro.deps.false_dependence import block_false_dependence_graph
 from repro.deps.schedule_graph import block_schedule_graph
 from repro.machine.presets import single_issue, two_unit_superscalar, wide_issue
-from repro.sched.augmented import augmented_schedule, compact_augmented_schedule
-from repro.sched.list_scheduler import compact_list_schedule, list_schedule
+from repro.sched.augmented import compact_augmented_schedule
+from repro.sched.list_scheduler import list_schedule
+from sched_oracle import oracle_augmented_schedule, oracle_list_schedule
 from repro.workloads import example1, example2, figure6_diamond
 from repro.workloads.generator import RandomBlockConfig, random_block
 
@@ -47,8 +47,8 @@ def test_compact_list_schedule_matches_reference(machine_name, machine_fn):
             if not block.instructions:
                 continue
             sg = block_schedule_graph(block, machine=machine)
-            want = list_schedule(sg, machine)
-            got = compact_list_schedule(sg, machine)
+            want = oracle_list_schedule(sg, machine)
+            got = list_schedule(sg, machine)
             assert _cycles(got) == _cycles(want), (fn.name, block.name)
 
 
@@ -64,7 +64,7 @@ def test_compact_augmented_schedule_matches_reference(
                 continue
             sg = block_schedule_graph(block, machine=machine)
             fdg = block_false_dependence_graph(block, machine)
-            want = augmented_schedule(sg, fdg, machine)
+            want = oracle_augmented_schedule(sg, fdg, machine)
             got = compact_augmented_schedule(sg, fdg, machine)
             assert _cycles(got) == _cycles(want), (fn.name, block.name)
 

@@ -1,24 +1,27 @@
 #!/usr/bin/env python
-"""Benchmark the compact back-end kernels against their reference
-twins, phase by phase, as bench_compare-compatible rows.
+"""Benchmark the back-end kernels against their frozen oracles, phase
+by phase, as bench_compare-compatible rows.
 
 Workloads:
 
 * ``backend-n<SIZE>`` — one large straight-line block (default n=2048,
   operand window 96: wide webs, a dense conflict graph, heavy spill
-  pressure at r=8).  Phases, each timed compact-vs-reference
+  pressure at r=8).  Phases, each timed kernel-vs-oracle
   *interleaved* over ``--repeats`` rounds keeping per-phase minima
-  (so a load spike hits both sides instead of skewing the ratio):
+  (so a load spike hits both sides instead of skewing the ratio).
+  The ``*_reference`` side is the networkx/dict code the kernels
+  replaced, loaded from ``tests/regalloc/regalloc_oracle.py`` and
+  ``tests/sched/sched_oracle.py``:
 
   - ``interference_compact`` / ``interference_reference`` —
-    :func:`build_compact_interference` vs
-    :func:`build_interference_graph` (same webs, same edges; checked
-    bit-identical before any timing is trusted);
+    :func:`build_compact_interference` vs the bisect-stabbing oracle
+    builder (same webs, same edges; checked bit-identical before any
+    timing is trusted);
   - ``color_compact`` / ``color_reference`` — the worklist bitmask
     colorer vs the networkx Chaitin round at r=8 (same spill order,
     same coloring, checked);
   - ``sched_compact`` / ``sched_reference`` — the array-based
-    augmented scheduler vs the dict/graph one on the same schedule
+    augmented scheduler vs the dict/graph oracle on the same schedule
     graph + E_f (same cycle map, checked).
 
 * ``pinter-n128`` — one ``random_block`` (n=128, window 96, load
@@ -31,8 +34,9 @@ Workloads:
   before any timing is trusted.
 
 The acceptance floors (``--check``, and ``make bench-backend-check``
-against the same run): compact must be >= 3x faster than reference on
-BOTH the interference and coloring phases of the large-block workload
+against the same run): the kernels must be >= 3x faster than the
+oracles on BOTH the interference and coloring phases of the
+large-block workload
 (committed in ``BENCH_pr10.json``), and ``pinter_color`` must be >= 5x
 faster than its oracle on ``pinter-n128`` (``BENCH_pr14.json``).
 
@@ -51,17 +55,15 @@ import time
 from repro.deps.false_dependence import block_false_dependence_graph
 from repro.deps.schedule_graph import block_schedule_graph
 from repro.machine.presets import two_unit_superscalar
-from repro.regalloc.chaitin import chaitin_color
 from repro.regalloc.compact import (
     build_compact_interference,
     compact_chaitin_color,
 )
-from repro.regalloc.interference import build_interference_graph
-from repro.sched.augmented import augmented_schedule, compact_augmented_schedule
+from repro.sched.augmented import compact_augmented_schedule
 from repro.workloads import RandomBlockConfig, random_block
 
-#: PR-10 acceptance floor: compact must be >= 3x faster than reference
-#: on the interference and coloring phases of the large block.
+#: PR-10 acceptance floor: the kernels must be >= 3x faster than the
+#: oracles on the interference and coloring phases of the large block.
 COMPACT_OVER_REFERENCE_MIN = 3.0
 
 #: Registers for the coloring phase — low enough that the dense block
@@ -77,10 +79,19 @@ PINTER_OVER_ORACLE_MIN = 5.0
 PINTER_SIZE = 128
 PINTER_REGISTERS = 16
 
-ORACLE_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "tests", "core", "pinter_oracle.py",
+TESTS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"
 )
+
+
+def _load_oracle(*parts):
+    """A frozen oracle module from the test suite (``tests/<parts>``)."""
+    path = os.path.join(TESTS, *parts)
+    name = os.path.splitext(parts[-1])[0]
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def timed(thunk):
@@ -105,6 +116,11 @@ def bench_large_block(size, window, repeats, rows):
     )
     n_instrs = sum(len(b) for b in fn.blocks())
     workload = "backend-n{}".format(size)
+    regalloc_oracle = _load_oracle("regalloc", "regalloc_oracle.py")
+    sched_oracle = _load_oracle("sched", "sched_oracle.py")
+    build_interference_graph = regalloc_oracle.oracle_build_interference_graph
+    chaitin_color = regalloc_oracle.oracle_chaitin_color
+    augmented_schedule = sched_oracle.oracle_augmented_schedule
 
     # -- equivalence first: timings of diverging kernels are garbage.
     reference = build_interference_graph(fn)
@@ -116,7 +132,7 @@ def bench_large_block(size, window, repeats, rows):
         tuple(sorted(e)) for e in compact.graph.edge_list()
     ) != ref_edges:
         raise SystemExit(
-            "bench_backend: compact and reference interference disagree "
+            "bench_backend: compact interference and its oracle disagree "
             "on {} — timings would be meaningless".format(workload)
         )
     ref_color = chaitin_color(reference.graph, COLORS)
@@ -132,7 +148,7 @@ def bench_large_block(size, window, repeats, rows):
         }
     ):
         raise SystemExit(
-            "bench_backend: compact and reference coloring disagree on "
+            "bench_backend: compact coloring and its oracle disagree on "
             "{} — timings would be meaningless".format(workload)
         )
     block = fn.entry
@@ -142,7 +158,7 @@ def bench_large_block(size, window, repeats, rows):
         compact_augmented_schedule(sg, fdg, machine)
     ):
         raise SystemExit(
-            "bench_backend: compact and reference schedulers disagree on "
+            "bench_backend: compact scheduler and its oracle disagree on "
             "{} — timings would be meaningless".format(workload)
         )
 
@@ -194,14 +210,6 @@ def bench_large_block(size, window, repeats, rows):
     return speedups
 
 
-def _load_oracle():
-    """The test suite's frozen pre-rewrite ``pinter_color``."""
-    spec = importlib.util.spec_from_file_location("pinter_oracle", ORACLE_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.oracle_pinter_color
-
-
 def _pinter_signature(result):
     return (
         [w.index for w in result.selection_order],
@@ -237,7 +245,7 @@ def bench_pinter(repeats, rows):
     workload = "pinter-n{}".format(PINTER_SIZE)
     pig = build_parallel_interference_graph(fn, machine)
     cost = make_cost_function(fn)
-    oracle = _load_oracle()
+    oracle = _load_oracle("core", "pinter_oracle.py").oracle_pinter_color
 
     def fast():
         return pinter_color(pig, PINTER_REGISTERS, cost=cost)
@@ -290,8 +298,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="fail unless compact >= {:.0f}x reference on interference "
-        "and coloring, and pinter_color >= {:.0f}x its oracle".format(
+        help="fail unless the kernels are >= {:.0f}x their oracles on "
+        "interference and coloring, and pinter_color >= {:.0f}x its "
+        "oracle".format(
             COMPACT_OVER_REFERENCE_MIN, PINTER_OVER_ORACLE_MIN),
     )
     parser.add_argument(
