@@ -46,7 +46,7 @@ from repro.ir import (
 )
 from repro.machine import MachineDescription, presets
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "BasicBlock",

@@ -281,7 +281,7 @@ class PinterAllocator:
         # Lemma 1 check needs the instruction-for-instruction mirror, so
         # it runs before any coalescing cleanup deletes identity moves.
         violations = find_false_dependences(
-            work, allocated, self.machine, use_regions=self.use_regions
+            work, allocated, self.machine, false_graphs=pig.false_graphs
         )
         identity_moves_removed = 0
         if self.coalesce:

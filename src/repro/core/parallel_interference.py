@@ -36,6 +36,10 @@ from repro.deps.false_dependence import (
     FalseDependenceGraph,
     false_dependence_graph,
 )
+from repro.deps.global_deps import (
+    shared_function_dependence_graph,
+    transit_dependence_pairs,
+)
 from repro.deps.schedule_graph import region_schedule_graph
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
@@ -44,6 +48,7 @@ from repro.regalloc.interference import (
     InterferenceGraph,
     build_interference_graph,
 )
+from repro.utils import faults
 from repro.utils.bits import iter_bits
 from repro.utils.errors import AllocationError
 
@@ -238,28 +243,36 @@ def _insert_edges_fast(graph: nx.Graph, edges, origin: EdgeOrigin) -> None:
         adj[v][u] = data
 
 
-def build_parallel_interference_graph(
+def region_false_graphs(
     fn: Function,
     machine: MachineDescription,
     use_regions: bool = True,
     engine: str = "bitset",
+    region_cache=None,
+    config_fingerprint: str = "",
     check_deadline=None,
-) -> ParallelInterferenceGraph:
-    """Build G for *fn* on *machine*.
+) -> Tuple[List[Region], List[FalseDependenceGraph]]:
+    """The scheduling regions of *fn* and the false-dependence graph of
+    every non-empty one, in region order: the one derivation of E_f
+    over regions.  The PIG build splices these graphs, and the
+    Theorem-1 check reads them off the PIG.  Each graph records its
+    ``Region.index`` in ``region_index`` (empty regions get no graph).
 
     Args:
-        fn: Symbolic-register function (single- or multi-block).
+        fn: Symbolic-register function.
         machine: Supplies latencies and the contention constraints that
             enter E_t.
         use_regions: Group control-equivalent blocks into scheduling
-            regions before deriving false-dependence graphs (the global
-            extension).  With False, each block is its own region
-            (classic per-basic-block operation).
+            regions; with False, each block is its own region.
         engine: ``"bitset"`` (default) runs the word-parallel
             dependence kernel; ``"reference"`` runs the retained
-            set-based pipeline (:mod:`repro.deps.reference`) — same
-            output, used by the equivalence suite, the paranoid
-            cross-check and ``repro bench``.
+            set-based pipeline (:mod:`repro.deps.reference`).
+        region_cache: Optional region-kernel
+            :class:`~repro.cache.store.CompileCache`, read and written
+            only for the bitset engine with no fault armed
+            (:mod:`repro.pipeline.incremental`).
+        config_fingerprint: ``DriverConfig.fingerprint()`` component
+            of the region keys (``""`` outside a driver compile).
         check_deadline: Optional zero-argument callback polled between
             regions and inside the kernels' closure loops; it raises
             to preempt the build when the driver's wall-clock budget
@@ -267,9 +280,6 @@ def build_parallel_interference_graph(
     """
     if engine not in ("bitset", "reference"):
         raise AllocationError("unknown PIG engine {!r}".format(engine))
-    interference = build_interference_graph(fn)
-    def_to_web = web_of_definition(interference.webs)
-
     if use_regions:
         regions = schedule_regions(fn)
     else:
@@ -277,42 +287,115 @@ def build_parallel_interference_graph(
             Region(blocks=(name,), index=i)
             for i, name in enumerate(fn.block_names())
         ]
+    if engine == "reference":
+        from repro.deps.reference import (
+            reference_false_dependence_graph as derive,
+        )
+    else:
+        def derive(sg, machine):
+            return false_dependence_graph(
+                sg, machine, check_deadline=check_deadline
+            )
+    cache = region_cache
+    if engine != "bitset" or faults.active_specs():
+        cache = None  # no kernel rows to store, or a fault under test
+    if cache is not None:
+        from repro.pipeline import incremental
 
+    false_graphs: List[FalseDependenceGraph] = []
+    for region in regions:
+        if check_deadline is not None:
+            check_deadline()
+        instructions = [
+            instr
+            for name in region.blocks
+            for instr in fn.block(name).instructions
+        ]
+        if not instructions:
+            continue
+        transit: List[Tuple[Instruction, Instruction]] = []
+        if len(region.blocks) > 1:
+            transit = transit_dependence_pairs(
+                fn, instructions, shared_function_dependence_graph(fn)
+            )
+
+        def schedule_graph(blocks=region.blocks, transit=transit):
+            return region_schedule_graph(
+                fn, blocks, machine=machine, transit_pairs=transit
+            )
+
+        fdg = key = None
+        if (
+            cache is not None
+            and len(instructions) >= incremental.MIN_CACHE_INSTRS
+        ):
+            key = incremental.region_key(
+                fn, region, instructions, transit, machine,
+                config_fingerprint,
+            )
+            fdg = incremental.lookup_region(
+                cache, key, instructions, schedule_graph
+            )
+        if fdg is None:
+            fdg = derive(schedule_graph(), machine)
+            if key is not None:
+                incremental.store_region(cache, key, fdg)
+        fdg.region_index = region.index
+        false_graphs.append(fdg)
+    if cache is not None:
+        incremental.note_compose()
+    return regions, false_graphs
+
+
+def build_parallel_interference_graph(
+    fn: Function,
+    machine: MachineDescription,
+    use_regions: bool = True,
+    engine: str = "bitset",
+    region_cache=None,
+    config_fingerprint: str = "",
+    check_deadline=None,
+) -> ParallelInterferenceGraph:
+    """Build G for *fn* on *machine*: the interference graph G_r, then
+    every region's E_f (:func:`region_false_graphs`, whose arguments
+    these are) projected onto web pairs.
+
+    Both engines give the same graph; the reference one serves the
+    equivalence suite, the paranoid cross-check and ``repro bench``.
+    A *region_cache* changes nothing in the result, only what is
+    rebuilt.
+    """
+    interference = build_interference_graph(fn)
+    def_to_web = web_of_definition(interference.webs)
     graph = nx.Graph()
     graph.add_nodes_from(interference.webs)
     _insert_edges_fast(
         graph, list(interference.graph.edges()), EdgeOrigin.INTERFERENCE
     )
 
-    false_graphs: List[FalseDependenceGraph] = []
-    for region in regions:
-        if check_deadline is not None:
-            check_deadline()
-        sg = region_schedule_graph(fn, region.blocks, machine=machine)
-        if not sg.instructions:
-            continue
-        if engine == "bitset":
-            fdg = false_dependence_graph(
-                sg, machine, check_deadline=check_deadline
-            )
-            false_graphs.append(fdg)
+    regions, false_graphs = region_false_graphs(
+        fn, machine,
+        use_regions=use_regions,
+        engine=engine,
+        region_cache=region_cache,
+        config_fingerprint=config_fingerprint,
+        check_deadline=check_deadline,
+    )
+    for fdg in false_graphs:
+        if fdg.kernel is not None:
             _splice_false_edges(fdg.kernel, def_to_web, graph)
-        else:
-            from repro.deps.reference import (
-                reference_false_dependence_graph,
-                reference_project_false_pairs_to_webs,
-            )
+            continue
+        from repro.deps.reference import (
+            reference_project_false_pairs_to_webs,
+        )
 
-            fdg = reference_false_dependence_graph(sg, machine)
-            false_graphs.append(fdg)
-            projected = reference_project_false_pairs_to_webs(
-                fdg, def_to_web
-            )
-            for web_a, web_b in projected:
-                if graph.has_edge(web_a, web_b):
-                    graph.edges[web_a, web_b]["origin"] |= EdgeOrigin.FALSE
-                else:
-                    graph.add_edge(web_a, web_b, origin=EdgeOrigin.FALSE)
+        for web_a, web_b in reference_project_false_pairs_to_webs(
+            fdg, def_to_web
+        ):
+            if graph.has_edge(web_a, web_b):
+                graph.edges[web_a, web_b]["origin"] |= EdgeOrigin.FALSE
+            else:
+                graph.add_edge(web_a, web_b, origin=EdgeOrigin.FALSE)
 
     return ParallelInterferenceGraph(
         graph=graph,

@@ -56,7 +56,9 @@ def check_theorem1(
     validate_coloring(pig.graph, coloring)
     assignment = make_assignment(pig.interference, coloring)
     allocated = apply_assignment(assignment)
-    return find_false_dependences(pig.function, allocated, pig.machine)
+    return find_false_dependences(
+        pig.function, allocated, pig.machine, false_graphs=pig.false_graphs
+    )
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,9 @@ def check_theorem2_edge(
     # concrete false dependence Lemma 1 predicts.
     assignment = make_assignment(pig.interference, coloring)
     allocated = apply_assignment(assignment)
-    violations = find_false_dependences(pig.function, allocated, pig.machine)
+    violations = find_false_dependences(
+        pig.function, allocated, pig.machine, false_graphs=pig.false_graphs
+    )
     involved = [
         viol
         for viol in violations

@@ -54,6 +54,10 @@ class FalseDependenceGraph:
         value_rows: Optional positional ``(ep, height)`` rows replayed
             from the region cache, so ``SchedulingValueModel`` does not
             have to force the lazy graph just to price false edges.
+        region_index: The ``Region.index`` of the scheduling region the
+            graph was derived for (set by :func:`~repro.core.
+            parallel_interference.region_false_graphs`); ``None`` for
+            a graph built outside that loop.
     """
 
     def __init__(
@@ -77,6 +81,7 @@ class FalseDependenceGraph:
         self._schedule_graph = schedule_graph
         self._schedule_graph_factory = schedule_graph_factory
         self.value_rows = value_rows
+        self.region_index: Optional[int] = None
         self.kernel = kernel
         self._et_pairs = et_pairs
         self._ef_pairs = ef_pairs

@@ -12,6 +12,9 @@ dependence graph over every instruction of the function:
 
 * all block-local dependences (register flow/anti/output, memory
   ordering, branch-last control edges);
+* control dependences (Ferrante, Ottenstein and Warren): a
+  conditional branch orders before every instruction of each block
+  control dependent on it;
 * cross-block register flow from reaching definitions (def-use
   chains);
 * cross-block memory ordering between may-aliasing accesses in
@@ -30,6 +33,7 @@ from typing import List, Sequence, Tuple
 import networkx as nx
 
 from repro.analysis.defuse import shared_def_use_chains
+from repro.analysis.dominators import postdominator_tree
 from repro.deps.datadeps import all_dependences, _may_alias
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
@@ -49,6 +53,28 @@ def function_dependence_graph(fn: Function) -> nx.DiGraph:
         if terminator is not None:
             for instr in block.instructions[:-1]:
                 graph.add_edge(instr, terminator)
+
+    # Control dependences: a block on the postdominator-tree path from
+    # a successor of a conditional branch up to (not including) the
+    # branch block's immediate postdominator runs only if that arm is
+    # taken.  Those are the blocks that postdominate the successor
+    # without strictly postdominating the branch block.
+    conditional = [
+        block for block in fn.blocks()
+        if block.terminator is not None and len(fn.successors(block)) > 1
+    ]
+    if conditional:
+        pdom = postdominator_tree(fn)
+        for block in conditional:
+            branch = block.terminator
+            arms = [succ.name for succ in fn.successors(block)]
+            for other in fn.blocks():
+                if pdom.strictly_dominates(other.name, block.name):
+                    continue
+                if any(pdom.dominates(other.name, arm) for arm in arms):
+                    for instr in other.instructions:
+                        if instr is not branch:
+                            graph.add_edge(branch, instr)
 
     # Cross-block register flow: def -> use for every reaching def.
     chains = shared_def_use_chains(fn)

@@ -221,7 +221,6 @@ def region_schedule_graph(
     block_names: Sequence[str],
     machine: Optional[MachineDescription] = None,
     keep_control_edges: bool = False,
-    dependence_graph: Optional[nx.DiGraph] = None,
     transit_pairs: Optional[
         Sequence[Tuple[Instruction, Instruction]]
     ] = None,
@@ -240,12 +239,9 @@ def region_schedule_graph(
     instruction before every later-block instruction instead (no
     cross-block motion).
 
-    *dependence_graph* lets a caller that builds many regions of the
-    same function share one :func:`~repro.deps.global_deps.
-    function_dependence_graph`; *transit_pairs* goes one step further
-    and supplies the region's precomputed transit pairs outright (the
-    incremental build computes them for its cache digest and must not
-    pay for them twice).
+    *transit_pairs* supplies the region's precomputed transit pairs
+    (the region loop computes them from one shared whole-function
+    dependence graph, and digests them for the region cache).
     """
     blocks = [fn.block(name) for name in block_names]
     instructions: List[Instruction] = []
@@ -264,7 +260,7 @@ def region_schedule_graph(
         # sound (see deps.global_deps).
         from repro.deps.global_deps import transit_dependence_pairs as _tdp
 
-        transit_pairs = _tdp(fn, instructions, dependence_graph)
+        transit_pairs = _tdp(fn, instructions)
     transit_pairs = list(transit_pairs or ())
     for u, v in transit_pairs:
         sg.add_edge(u, v, DependenceKind.CONTROL, delay=1)

@@ -9,7 +9,7 @@ schema (:func:`~repro.obs.trace.validate_event`), and aggregates:
   count/total/mean/min/max row (live driver spans and worker phase
   timings folded in by the batch parent land in the same table);
 * **spans** — every other span name (``serve.job``,
-  ``pig.incremental.build``, ...) gets the same count/total/mean/min/max
+  ``batch.run``, ...) gets the same count/total/mean/min/max
   treatment in its own table, so service- and transport-level
   latencies show up without claiming to be compile phases;
 * **per-rung** — every ``task.done`` event groups by its ``rung``
@@ -143,7 +143,7 @@ def aggregate(events: List[Dict[str, object]]) -> Dict[str, object]:
             if phase is not None:
                 table, key = phases, phase
             else:
-                # Non-phase spans (serve.job, pig.incremental.build, ...)
+                # Non-phase spans (serve.job, batch.run, ...)
                 # keep their full name in their own table.
                 table, key = spans, str(event.get("name", "?"))
             duration = float(event.get("duration_s", 0.0))

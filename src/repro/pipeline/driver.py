@@ -57,8 +57,12 @@ from repro.core.coloring import pinter_color
 from repro.core.parallel_interference import (
     ParallelInterferenceGraph,
     build_parallel_interference_graph,
+    region_false_graphs,
 )
-from repro.deps.false_dependence import false_dependence_graph
+from repro.deps.false_dependence import (
+    FalseDependenceGraph,
+    false_dependence_graph,
+)
 from repro.deps.schedule_graph import block_schedule_graph
 from repro.ir.function import Function
 from repro.ir.verifier import verify_function
@@ -346,6 +350,9 @@ class _AllocMeta:
     #: Dependence engine the compile settled on; later phases
     #: (theorem1 check, augmented scheduling) stay off a failed kernel.
     engine: str = "bitset"
+    #: The final round's PIG (None on the Chaitin rung); the theorem1
+    #: check reads its false graphs.
+    pig: Optional[ParallelInterferenceGraph] = None
 
 
 class PhaseGuard:
@@ -714,10 +721,7 @@ class CompilationDriver:
             "theorem1",
             lambda: find_false_dependences(
                 prepared, allocated, self.machine,
-                use_regions=self.config.use_regions,
-                engine=meta.engine,
-                region_cache=self._region_cache(meta.engine),
-                config_fingerprint=self.config.fingerprint(),
+                false_graphs=self._false_graphs(prepared, meta, guard),
                 check_deadline=guard.mid_phase_checker(),
             ),
         )
@@ -769,6 +773,26 @@ class CompilationDriver:
             report.note_recovery("input order retained")
             return work.copy()
 
+    def _false_graphs(
+        self, prepared: Function, meta: _AllocMeta, guard: PhaseGuard
+    ) -> List[FalseDependenceGraph]:
+        """The E_f the allocation was colored from, for the theorem1
+        check: the final PIG's false graphs.  The Chaitin rung built no
+        PIG, so its program's graphs are derived here, with the engine
+        the compile settled on."""
+        if meta.pig is not None:
+            return meta.pig.false_graphs
+        cfg = self.config
+        _, false_graphs = region_false_graphs(
+            prepared, self.machine,
+            use_regions=cfg.use_regions,
+            engine=meta.engine,
+            region_cache=self._region_cache(meta.engine),
+            config_fingerprint=cfg.fingerprint(),
+            check_deadline=guard.mid_phase_checker(),
+        )
+        return false_graphs
+
     # -- region cache gating -------------------------------------------
 
     def _region_cache(self, engine: str):
@@ -817,19 +841,11 @@ class CompilationDriver:
         mid_phase = guard.mid_phase_checker()
 
         def build(target: str) -> ParallelInterferenceGraph:
-            cache = self._region_cache(target)
-            if cache is not None:
-                from repro.pipeline.incremental import build_incremental_pig
-
-                return build_incremental_pig(
-                    work, self.machine, cache,
-                    use_regions=cfg.use_regions,
-                    config_fingerprint=cfg.fingerprint(),
-                    check_deadline=mid_phase,
-                )
             return build_parallel_interference_graph(
                 work, self.machine,
                 use_regions=cfg.use_regions, engine=target,
+                region_cache=self._region_cache(target),
+                config_fingerprint=cfg.fingerprint(),
                 check_deadline=mid_phase,
             )
 
@@ -896,6 +912,7 @@ class CompilationDriver:
                         spill_operations=spill_ops,
                         parallelism_sacrificed=result.parallelism_sacrificed,
                         engine=engine,
+                        pig=pig,
                     )
                 work, spill_report = insert_spill_code(work, result.spilled)
                 spill_ops += (

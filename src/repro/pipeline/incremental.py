@@ -1,4 +1,4 @@
-"""Region-grain incremental compilation.
+"""Region-grain incremental compilation: the region-kernel cache.
 
 Pinter's construction makes the scheduling region the natural unit of
 reuse: the parallelizable interference graph is a per-region dependence
@@ -9,36 +9,39 @@ the kernel a perfect cache value: under the edit-recompile loop a
 one-region edit changes one region digest, and every other region's
 kernel replays from the store instead of being rebuilt.
 
-This module is the reuse path:
+The cache serves two consumers:
 
-* :func:`region_cache_for` — the process-wide region-kernel store, a
-  :class:`~repro.cache.store.CompileCache` opened with the ``region``
-  namespace (own shards, quarantine, and LRU inside a shared
-  ``--cache-dir``).
-* :func:`cached_region_fdg` — one region/block kernel build routed
-  through the cache; used by the driver's theorem-1 check and the
-  scheduler's per-block false-dependence graphs.
-* :func:`build_incremental_pig` — the whole-function build: split into
-  regions, look every region up, rebuild only the misses, and compose
-  the function result by web stitching, bit-identical to the cold
-  build.
+* the PIG round.  :func:`~repro.core.parallel_interference.
+  region_false_graphs`, the one loop that derives E_f over regions,
+  takes the cache as an argument.  For each region of at least
+  :data:`MIN_CACHE_INSTRS` instructions it builds :func:`region_key`
+  from the IR, tries :func:`lookup_region`, and on a miss builds the
+  kernel and calls :func:`store_region`.  The Theorem-1 check reads the
+  same graphs off the final PIG, so it needs no cache of its own;
+* the schedule phase, whose per-block graphs go through
+  :func:`cached_region_fdg`.
 
-Cache honesty mirrors the whole-compile tiers (PR 5/PR 8):
+:func:`region_cache_for` is the process-wide store, a
+:class:`~repro.cache.store.CompileCache` opened with the ``region``
+namespace (own shards, quarantine, and LRU inside a shared
+``--cache-dir``).
+
+Cache honesty mirrors the whole-compile tiers:
 
 * Entries are stored in the validated worker-result shape with the
   kernel rows as the ``pig_region`` report payload, so the store's
   ``_is_cacheable`` gate and :func:`_kernel_from_report`'s validation
   both apply on the way in and on the way out; a corrupt or mismatched
   entry degrades to a miss and a local rebuild.
-* **Fault-armed processes neither read nor write the cache** — an
+* **Fault-armed processes neither read nor write the cache**: an
   injected fault must never freeze into a stored kernel, and a replay
   must never mask the fault path under test.  Degraded ladder rungs
   are kept out one layer up: the driver consults the cache only for
   its primary engine, and the batch/serve retry ladders disable the
   region cache outright in their degraded-rung configs.
 
-Every lookup emits ``cache.region.{hit,miss}`` and every stitched
-function ``cache.region.compose`` — trace counters, so ``repro stats``
+Every lookup emits ``cache.region.{hit,miss}`` and every cached region
+loop ``cache.region.compose``: trace counters, so ``repro stats``
 surfaces the hit rate of a session.
 """
 
@@ -46,10 +49,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
-from repro.analysis.regions import Region, schedule_regions
-from repro.analysis.webs import web_of_definition
+from repro.analysis.regions import Region
 from repro.cache.keys import (
     RegionCacheKey,
     region_cache_key,
@@ -57,29 +57,18 @@ from repro.cache.keys import (
     region_digest_parts,
 )
 from repro.cache.store import CompileCache
-from repro.core.parallel_interference import (
-    EdgeOrigin,
-    ParallelInterferenceGraph,
-    _insert_edges_fast,
-    _splice_false_edges,
-)
 from repro.core.scheduling_value import region_value_rows
 from repro.deps.bitset import DependenceBitKernel, InstructionIndex
 from repro.deps.false_dependence import (
     FalseDependenceGraph,
     false_dependence_graph,
 )
-from repro.deps.global_deps import (
-    shared_function_dependence_graph,
-    transit_dependence_pairs,
-)
-from repro.deps.schedule_graph import ScheduleGraph, region_schedule_graph
+from repro.deps.schedule_graph import ScheduleGraph
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.ir.printer import format_instruction
 from repro.machine.model import MachineDescription
 from repro.obs import get_metrics, get_tracer
-from repro.regalloc.interference import build_interference_graph
 from repro.utils import faults
 
 #: Regions/blocks below this many instructions are built inline
@@ -229,29 +218,83 @@ def _value_rows_from_report(
     return ep_row, height_row
 
 
-def _lookup(
+def region_key(
+    fn: Function,
+    region: Region,
+    instructions: Sequence[Instruction],
+    transit: Sequence[Tuple[Instruction, Instruction]],
+    machine: MachineDescription,
+    config_fingerprint: str,
+) -> RegionCacheKey:
+    """The cache key of one region's kernel, straight from the IR.
+
+    The digest comes from the region's instruction texts, block start
+    offsets and transit pairs (see :func:`~repro.cache.keys.
+    region_digest_parts`), so a hit never builds the schedule graph.
+    *instructions* are the region's blocks laid end to end and
+    *transit* its cross-region transit pairs.
+    """
+    boundaries: List[int] = []
+    offset = 0
+    for name in region.blocks:
+        boundaries.append(offset)
+        offset += len(fn.block(name).instructions)
+    position = {instr: idx for idx, instr in enumerate(instructions)}
+    digest = region_digest_parts(
+        [format_instruction(instr) for instr in instructions],
+        boundaries,
+        sorted((position[u], position[v]) for u, v in transit),
+    )
+    return region_cache_key_from_digest(
+        digest, machine, KERNEL_ENGINE, config_fingerprint
+    )
+
+
+def lookup_region(
     cache: CompileCache,
     key: RegionCacheKey,
     instructions: Sequence[Instruction],
-):
-    """``(kernel, value_rows)`` for *key* rebuilt over the caller's own
-    instruction sequence, or ``None``.  Malformed rows (size drift, bad
-    hex) degrade to a miss."""
+    schedule_graph: Callable[[], ScheduleGraph],
+) -> Optional[FalseDependenceGraph]:
+    """The stored false-dependence graph for *key*, rebuilt over the
+    caller's own *instructions*, or ``None``.  Counts a hit or a miss.
+
+    Malformed rows (size drift, bad hex) degrade to a miss.  The graph
+    of a hit carries *schedule_graph* as a lazy factory: nothing in the
+    splice or the coloring needs G_s (the stored value rows cover the
+    scheduling-value model), but a late consumer of
+    ``fdg.schedule_graph`` still finds the exact graph.
+    """
     entry = cache.get(key)
-    if entry is None:
-        return None
-    report = entry.get("report")
+    report = entry.get("report") if entry is not None else None
     kernel = _kernel_from_report(report, list(instructions))
     if kernel is None:
+        _note_region("miss")
         return None
-    return kernel, _value_rows_from_report(report, len(instructions))
+    _note_region("hit")
+    return FalseDependenceGraph(
+        instructions=list(instructions),
+        schedule_graph_factory=schedule_graph,
+        kernel=kernel,
+        value_rows=_value_rows_from_report(report, len(instructions)),
+    )
 
 
-def _note_region(what: str, count: int = 1) -> None:
-    if count <= 0:
-        return
-    get_metrics().counter("cache.region.{}".format(what)).inc(count)
-    get_tracer().counter("cache.region.{}".format(what), count)
+def store_region(
+    cache: CompileCache, key: RegionCacheKey, fdg: FalseDependenceGraph
+) -> None:
+    """Store a freshly built bitset graph under *key*."""
+    cache.put(key, _entry_for(fdg.kernel, fdg.schedule_graph))
+
+
+def note_compose() -> None:
+    """Count one region loop that ran against the cache."""
+    _note_region("compose")
+
+
+def _note_region(what: str) -> None:
+    get_metrics().counter("cache.region.{}".format(what)).inc()
+    get_tracer().counter("cache.region.{}".format(what), 1)
 
 
 def cached_region_fdg(
@@ -262,12 +305,12 @@ def cached_region_fdg(
     check_deadline: Optional[Callable[[], None]] = None,
     min_instrs: int = MIN_CACHE_INSTRS,
 ) -> FalseDependenceGraph:
-    """One region's false-dependence graph, served from the region
-    cache when possible.
+    """One block's (or region's) false-dependence graph, served from
+    the region cache when possible.
 
     Falls through to a plain :func:`false_dependence_graph` build —
     without consulting or populating the store — when any of the
-    honesty gates trips: no cache, a region too small to be worth the
+    honesty gates trips: no cache, a graph too small to be worth the
     round-trip, or **armed faults** (an injected fault must never
     freeze into a stored kernel, nor may a replay mask the fault path
     under test).
@@ -281,284 +324,10 @@ def cached_region_fdg(
             sg, machine, check_deadline=check_deadline
         )
     key = region_cache_key(sg, machine, KERNEL_ENGINE, config_fingerprint)
-    hit = _lookup(cache, key, sg.instructions)
-    if hit is not None:
-        kernel, value_rows = hit
-        _note_region("hit")
-        return FalseDependenceGraph(
-            instructions=list(sg.instructions),
-            schedule_graph=sg,
-            kernel=kernel,
-            value_rows=value_rows,
+    fdg = lookup_region(cache, key, sg.instructions, lambda: sg)
+    if fdg is None:
+        fdg = false_dependence_graph(
+            sg, machine, check_deadline=check_deadline
         )
-    _note_region("miss")
-    fdg = false_dependence_graph(sg, machine, check_deadline=check_deadline)
-    cache.put(key, _entry_for(fdg.kernel, sg))
+        store_region(cache, key, fdg)
     return fdg
-
-
-def cached_region_fdg_ir(
-    fn: Function,
-    region: Region,
-    machine: MachineDescription,
-    cache: Optional[CompileCache],
-    config_fingerprint: str = "",
-    dependence_graph: Optional[Callable[[], "nx.DiGraph"]] = None,
-    min_instrs: int = MIN_CACHE_INSTRS,
-) -> Optional[FalseDependenceGraph]:
-    """:func:`cached_region_fdg` keyed straight from the IR.
-
-    The digest comes from the region's instruction texts, block
-    offsets, and transit pairs (see :func:`~repro.cache.keys.
-    region_digest_parts`), so a hit replays the kernel without ever
-    building the schedule graph — the returned graph carries a lazy
-    one for late consumers.  Returns ``None`` for an empty region.
-    *dependence_graph* is a zero-argument callable producing the
-    shared whole-function dependence graph (built at most once across
-    a caller's region loop).
-    """
-    work = _RegionWork(
-        region, fn, machine,
-        dependence_graph
-        or (lambda: shared_function_dependence_graph(fn)),
-    )
-    if not work.instructions:
-        return None
-    if (
-        cache is None
-        or len(work.instructions) < min_instrs
-        or faults.active_specs()
-    ):
-        return false_dependence_graph(work.sg(), machine)
-    key = region_cache_key_from_digest(
-        work.digest(), machine, KERNEL_ENGINE, config_fingerprint
-    )
-    hit = _lookup(cache, key, work.instructions)
-    if hit is not None:
-        kernel, value_rows = hit
-        _note_region("hit")
-        return FalseDependenceGraph(
-            instructions=list(work.instructions),
-            schedule_graph_factory=work.sg,
-            kernel=kernel,
-            value_rows=value_rows,
-        )
-    _note_region("miss")
-    fdg = false_dependence_graph(work.sg(), machine)
-    cache.put(key, _entry_for(fdg.kernel, work.sg()))
-    return fdg
-
-
-# ----------------------------------------------------------------------
-# The incremental whole-function build
-# ----------------------------------------------------------------------
-
-
-class _RegionWork:
-    """One non-empty region's build state.
-
-    Carries the IR-level identity — the instruction sequence, the
-    block start offsets, and the cross-region transit pairs — which is
-    everything the cache digest needs, computed *without* building the
-    schedule graph.  The graph itself is built memoized on demand: a
-    cache hit never pays for it unless a downstream consumer actually
-    walks it.
-    """
-
-    __slots__ = (
-        "region",
-        "instructions",
-        "boundaries",
-        "transit",
-        "positions",
-        "_fn",
-        "_machine",
-        "_sg",
-    )
-
-    def __init__(
-        self,
-        region: Region,
-        fn: Function,
-        machine: MachineDescription,
-        dependence_graph: Callable[[], nx.DiGraph],
-    ) -> None:
-        self.region = region
-        self._fn = fn
-        self._machine = machine
-        self._sg: Optional[ScheduleGraph] = None
-        instructions: List[Instruction] = []
-        boundaries: List[int] = []
-        for name in region.blocks:
-            boundaries.append(len(instructions))
-            instructions.extend(fn.block(name).instructions)
-        self.instructions = instructions
-        self.boundaries = tuple(boundaries)
-        if len(region.blocks) > 1:
-            self.transit = transit_dependence_pairs(
-                fn, instructions, dependence_graph()
-            )
-        else:
-            self.transit = []
-        position = {
-            instr: idx for idx, instr in enumerate(instructions)
-        }
-        self.positions = tuple(
-            sorted((position[u], position[v]) for u, v in self.transit)
-        )
-
-    def digest(self) -> str:
-        return region_digest_parts(
-            [format_instruction(instr) for instr in self.instructions],
-            self.boundaries,
-            self.positions,
-        )
-
-    def sg(self) -> ScheduleGraph:
-        if self._sg is None:
-            self._sg = region_schedule_graph(
-                self._fn,
-                self.region.blocks,
-                machine=self._machine,
-                transit_pairs=self.transit,
-            )
-        return self._sg
-
-
-def build_incremental_pig(
-    fn: Function,
-    machine: MachineDescription,
-    cache: CompileCache,
-    use_regions: bool = True,
-    config_fingerprint: str = "",
-    check_deadline: Optional[Callable[[], None]] = None,
-) -> ParallelInterferenceGraph:
-    """Build G for *fn* compiling only the regions the cache misses.
-
-    Splits the function exactly like the cold builders
-    (:func:`~repro.analysis.regions.schedule_regions` +
-    :func:`~repro.deps.schedule_graph.region_schedule_graph`), looks
-    every region kernel up by :class:`~repro.cache.keys.
-    RegionCacheKey`, rebuilds the misses, and stitches hits and
-    rebuilds onto the web graph in region order.  Output is
-    bit-identical to :func:`~repro.core.parallel_interference.
-    build_parallel_interference_graph` with the bitset engine.
-
-    Fault-armed processes bypass the store in both directions and
-    rebuild everything.
-    """
-    tracer = get_tracer()
-    armed = bool(faults.active_specs())
-    with tracer.span("pig.incremental.build", function=fn.name):
-        interference = build_interference_graph(fn)
-        def_to_web = web_of_definition(interference.webs)
-        if use_regions:
-            regions = schedule_regions(fn)
-        else:
-            regions = [
-                Region(blocks=(name,), index=i)
-                for i, name in enumerate(fn.block_names())
-            ]
-
-        graph = nx.Graph()
-        graph.add_nodes_from(interference.webs)
-        _insert_edges_fast(
-            graph, list(interference.graph.edges()), EdgeOrigin.INTERFERENCE
-        )
-
-        # One whole-function dependence graph serves every multi-block
-        # region's transit pass (built lazily: all-single-block splits
-        # never pay for it).
-        fdep: List[Optional[nx.DiGraph]] = [None]
-
-        def dependence_graph() -> nx.DiGraph:
-            if fdep[0] is None:
-                fdep[0] = shared_function_dependence_graph(fn)
-            return fdep[0]
-
-        works: List[_RegionWork] = []
-        for region in regions:
-            if check_deadline is not None:
-                check_deadline()
-            work = _RegionWork(region, fn, machine, dependence_graph)
-            if work.instructions:
-                works.append(work)
-
-        # Phase 1: classify every region as hit or miss.  The digest
-        # comes straight from the IR-level identity, so a hit skips
-        # the schedule-graph build (the expensive O(n²) dependence
-        # scan) entirely.
-        kernels: Dict[int, DependenceBitKernel] = {}
-        value_rows: Dict[int, object] = {}
-        missed: List[int] = []
-        keys: Dict[int, RegionCacheKey] = {}
-        for slot, work in enumerate(works):
-            if check_deadline is not None:
-                check_deadline()
-            if armed or len(work.instructions) < MIN_CACHE_INSTRS:
-                missed.append(slot)
-                continue
-            key = region_cache_key_from_digest(
-                work.digest(), machine, KERNEL_ENGINE, config_fingerprint
-            )
-            keys[slot] = key
-            hit = _lookup(cache, key, work.instructions)
-            if hit is not None:
-                kernels[slot], value_rows[slot] = hit
-            else:
-                missed.append(slot)
-        _note_region("hit", len(kernels))
-        _note_region("miss", len(missed))
-
-        # Phase 2: rebuild the misses.
-        for slot in missed:
-            if check_deadline is not None:
-                check_deadline()
-            kernels[slot] = false_dependence_graph(
-                works[slot].sg(), machine, check_deadline=check_deadline
-            ).kernel
-        for slot in missed:
-            key = keys.get(slot)
-            if key is not None and not armed:
-                cache.put(key, _entry_for(kernels[slot], works[slot].sg()))
-
-        # Phase 3: compose — splice every kernel in region order.
-        # Replayed regions get a *lazy* schedule graph: nothing in the
-        # splice or the coloring needs it (the cached value rows cover
-        # the scheduling-value model), but late consumers of
-        # ``fdg.schedule_graph`` still find the exact graph they would
-        # have on the cold path.
-        false_graphs: List[FalseDependenceGraph] = []
-        for slot, work in enumerate(works):
-            if work._sg is not None:
-                fdg = FalseDependenceGraph(
-                    instructions=list(work.instructions),
-                    schedule_graph=work.sg(),
-                    kernel=kernels[slot],
-                )
-            else:
-                fdg = FalseDependenceGraph(
-                    instructions=list(work.instructions),
-                    schedule_graph_factory=work.sg,
-                    kernel=kernels[slot],
-                    value_rows=value_rows.get(slot),
-                )
-            false_graphs.append(fdg)
-            _splice_false_edges(fdg.kernel, def_to_web, graph)
-        _note_region("compose")
-        tracer.event(
-            "pig.incremental.done",
-            function=fn.name,
-            regions=len(works),
-            hits=len(works) - len(missed),
-            misses=len(missed),
-        )
-        return ParallelInterferenceGraph(
-            graph=graph,
-            interference=interference,
-            false_graphs=false_graphs,
-            regions=regions,
-            function=fn,
-            machine=machine,
-        )
-

@@ -17,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.regions import Region, schedule_regions
 from repro.deps.datadeps import DependenceKind, register_dependences
-from repro.deps.false_dependence import false_dependence_graph
-from repro.deps.schedule_graph import region_schedule_graph
+from repro.deps.false_dependence import FalseDependenceGraph
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.machine.model import MachineDescription
@@ -36,7 +34,8 @@ class FalseDependenceViolation:
             registers) between which the spurious edge runs.
         kind: The dependence kind register reuse created (anti, output,
             or an accidental flow through a reused register).
-        region_index: The scheduling region the pair belongs to.
+        region_index: The ``Region.index`` of the scheduling region the
+            pair belongs to.
     """
 
     source: Instruction
@@ -50,27 +49,13 @@ class FalseDependenceViolation:
         )
 
 
-def _symbolic_dependence_pairs(
-    instructions: Sequence[Instruction],
-) -> set:
-    """uid pairs with a *real* (symbolic-register or memory) dependence."""
-    pairs = set()
-    from repro.deps.datadeps import all_dependences
-
-    for dep in all_dependences(instructions):
-        pairs.add((dep.source.uid, dep.target.uid))
-    return pairs
-
-
 def find_false_dependences(
     original: Function,
     allocated: Function,
     machine: MachineDescription,
     use_regions: bool = True,
     include_anti: bool = False,
-    engine: str = "bitset",
-    region_cache=None,
-    config_fingerprint: str = "",
+    false_graphs: Optional[Sequence[FalseDependenceGraph]] = None,
     check_deadline: Optional[Callable[[], None]] = None,
 ) -> List[FalseDependenceViolation]:
     """All false dependences the allocation introduced.
@@ -78,35 +63,36 @@ def find_false_dependences(
     A false dependence is an introduced edge that destroys a co-issue
     opportunity — "(u, v) is a false dependence edge iff u and v can be
     scheduled together according to the schedule graph for the code
-    when presented with symbolic registers".  Introduced *anti* edges
-    are excluded by default: the hardware reads operands before
-    writing results, so an anti edge still permits same-cycle issue
-    (this is why Theorem 1's proof can show "no false anti dependence
-    is generated" under the open-interval reuse convention).  Pass
-    ``include_anti=True`` for the stricter reordering-loss analysis.
+    when presented with symbolic registers".  The check walks the
+    symbolic program's false-dependence graphs, one per non-empty
+    scheduling region, and reports every register dependence of the
+    allocated region that joins an E_f pair.  A dependence the
+    symbolic program already had is an edge of G_s, so it lies in E_t
+    and never in E_f: it needs no filter of its own.
+
+    Introduced *anti* edges are excluded by default: the hardware
+    reads operands before writing results, so an anti edge still
+    permits same-cycle issue (this is why Theorem 1's proof can show
+    "no false anti dependence is generated" under the open-interval
+    reuse convention).  Pass ``include_anti=True`` for the stricter
+    reordering-loss analysis.
 
     Args:
         original: The symbolic-register function.
         allocated: Its rewrite with physical registers — instruction
             uids must match (``apply_assignment`` preserves them).
         machine: Machine model (shapes E_t, hence E_f).
-        use_regions: Evaluate per scheduling region (the global form);
-            otherwise per block.
+        use_regions: Derive E_f per scheduling region (the global
+            form); otherwise per block.  Read only when
+            *false_graphs* is None.
         include_anti: Also report introduced anti edges landing in E_f.
-        engine: ``"bitset"`` (default) derives E_f via the word-parallel
-            kernel; ``"reference"`` uses the retained set-based
-            pipeline — the hardened driver passes the engine its PIG
-            phase settled on so a degraded compile stays off the
-            failed kernel.
-        region_cache: Optional region-kernel
-            :class:`~repro.cache.store.CompileCache`.  The check runs
-            the same per-region kernels the PIG phase does over the
-            same symbolic function, so a cache the driver already
-            populated serves every region here for free.  The caller
-            owns the honesty gates (primary engine only, no armed
-            faults) — pass None otherwise.
-        config_fingerprint: ``DriverConfig.fingerprint()`` component
-            of the region keys (only read when *region_cache* is set).
+        false_graphs: The false-dependence graphs of *original*, as
+            :func:`~repro.core.parallel_interference.
+            region_false_graphs` derives them; pass a PIG's
+            ``false_graphs`` to judge the allocation against the very
+            E_f it was colored from.  None derives them here with the
+            bitset engine (the baseline strategies, the count/assert
+            helpers).
         check_deadline: Optional zero-argument callback polled before
             each region; it raises to preempt the check when the
             driver's wall-clock budget has expired mid-phase.
@@ -114,89 +100,45 @@ def find_false_dependences(
     Raises:
         IRError: when the two functions' instructions do not correspond.
     """
-    if engine not in ("bitset", "reference"):
-        raise IRError("unknown dependence engine {!r}".format(engine))
     allocated_by_uid: Dict[int, Instruction] = {
         instr.uid: instr for instr in allocated.instructions()
     }
-    original_by_uid: Dict[int, Instruction] = {
-        instr.uid: instr for instr in original.instructions()
-    }
-    if set(allocated_by_uid) != set(original_by_uid):
+    if set(allocated_by_uid) != {
+        instr.uid for instr in original.instructions()
+    }:
         raise IRError(
             "allocated function does not mirror the original "
             "(instruction uids differ)"
         )
+    if false_graphs is None:
+        # Imported here: repro.core imports this module.
+        from repro.core.parallel_interference import region_false_graphs
 
-    if use_regions:
-        regions = schedule_regions(original)
-    else:
-        regions = [
-            Region(blocks=(name,), index=i)
-            for i, name in enumerate(original.block_names())
-        ]
-
-    # One whole-function dependence graph serves every multi-block
-    # region's transit pass (lazy: all-single-block splits skip it).
-    fdep: List[object] = [None]
-
-    def _dependence_graph():
-        if fdep[0] is None:
-            from repro.deps.global_deps import (
-                shared_function_dependence_graph,
-            )
-
-            fdep[0] = shared_function_dependence_graph(original)
-        return fdep[0]
+        _, false_graphs = region_false_graphs(
+            original, machine,
+            use_regions=use_regions,
+            check_deadline=check_deadline,
+        )
 
     violations: List[FalseDependenceViolation] = []
-    for region in regions:
+    for fdg in false_graphs:
         if check_deadline is not None:
             check_deadline()
-        symbolic_instrs: List[Instruction] = []
-        for name in region.blocks:
-            symbolic_instrs.extend(original.block(name).instructions)
-        if not symbolic_instrs:
-            continue
-        if engine == "reference":
-            from repro.deps.reference import reference_false_dependence_graph
-
-            sg = region_schedule_graph(
-                original, region.blocks, machine=machine,
-                dependence_graph=(
-                    _dependence_graph() if len(region.blocks) > 1 else None
-                ),
-            )
-            fdg = reference_false_dependence_graph(sg, machine)
-        else:
-            # The IR-keyed path: a warm region cache replays the
-            # kernel without rebuilding the schedule graph; with no
-            # cache it degrades to a plain build that still shares
-            # the function dependence graph.
-            from repro.pipeline.incremental import cached_region_fdg_ir
-
-            fdg = cached_region_fdg_ir(
-                original, region, machine, region_cache,
-                config_fingerprint=config_fingerprint,
-                dependence_graph=_dependence_graph,
-            )
-
-        allocated_instrs = [allocated_by_uid[i.uid] for i in symbolic_instrs]
-        real_pairs = _symbolic_dependence_pairs(symbolic_instrs)
+        allocated_instrs = [
+            allocated_by_uid[instr.uid] for instr in fdg.instructions
+        ]
         for dep in register_dependences(allocated_instrs):
             if dep.kind is DependenceKind.ANTI and not include_anti:
                 continue  # anti edges permit same-cycle issue
-            if (dep.source.uid, dep.target.uid) in real_pairs:
-                continue  # the dependence existed before allocation
-            source_sym = original_by_uid[dep.source.uid]
-            target_sym = original_by_uid[dep.target.uid]
-            if fdg.has_false_edge(source_sym, target_sym):
+            # Instructions hash by uid, so the allocated pair indexes
+            # the symbolic E_f directly.
+            if fdg.has_false_edge(dep.source, dep.target):
                 violations.append(
                     FalseDependenceViolation(
                         source=dep.source,
                         target=dep.target,
                         kind=dep.kind,
-                        region_index=region.index,
+                        region_index=fdg.region_index,
                     )
                 )
     return violations

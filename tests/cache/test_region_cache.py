@@ -266,20 +266,22 @@ class TestStoreNamespace:
 
 class TestRegionCacheHonesty:
     def test_fault_armed_process_never_reads_or_writes(self):
-        from repro.pipeline.incremental import (
-            build_incremental_pig,
-            cached_region_fdg,
+        from repro.core.parallel_interference import (
+            build_parallel_interference_graph,
         )
+        from repro.pipeline.incremental import cached_region_fdg
 
         machine = two_unit_superscalar()
         fn = diamond_chain(num_diamonds=2, block_size=8, seed=0)
         cache = CompileCache(capacity=64)
         # Warm the cache cleanly first.
-        build_incremental_pig(fn, machine, cache)
+        build_parallel_interference_graph(fn, machine, region_cache=cache)
         warm = cache.snapshot()
         assert warm["stores"] > 0
         with faults.inject("sched.augmented"):  # armed, never fired
-            build_incremental_pig(fn, machine, cache)
+            build_parallel_interference_graph(
+                fn, machine, region_cache=cache
+            )
             sg = _first_region_sg(fn, machine)
             cached_region_fdg(sg, machine, cache)
         after = cache.snapshot()
@@ -370,13 +372,14 @@ class TestCorruptRegionEntries:
         )
         from repro.obs import collecting_metrics
         from repro.pipeline.driver import _pig_signature
-        from repro.pipeline.incremental import build_incremental_pig
 
         machine = two_unit_superscalar()
         # One block: exactly one region, large enough to be cached.
         fn = random_block(RandomBlockConfig(size=24, window=5, seed=3))
         directory = str(tmp_path)
-        build_incremental_pig(fn, machine, CompileCache(directory=directory))
+        build_parallel_interference_graph(
+            fn, machine, region_cache=CompileCache(directory=directory)
+        )
         (path,) = glob.glob(os.path.join(directory, "*", "*", "*.json"))
         with open(path) as handle:
             document = json.load(handle)
@@ -385,8 +388,8 @@ class TestCorruptRegionEntries:
             json.dump(document, handle, sort_keys=True)
 
         with collecting_metrics() as metrics:
-            replay = build_incremental_pig(
-                fn, machine, CompileCache(directory=directory)
+            replay = build_parallel_interference_graph(
+                fn, machine, region_cache=CompileCache(directory=directory)
             )
         counters = metrics.snapshot()["counters"]
         assert counters.get("cache.region.hit", 0) == 0

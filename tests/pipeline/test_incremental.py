@@ -1,7 +1,8 @@
-"""Equivalence of region-cached composition with the whole-function
-build: every cache state (cold, warm, partially warm) must stitch a
-graph bit-identical to :func:`build_parallel_interference_graph`, and
-the region-cached driver must emit bit-identical programs."""
+"""Equivalence of the region-cached PIG build with the uncached one:
+every cache state (cold, warm, partially warm) must give a graph
+bit-identical to :func:`build_parallel_interference_graph` without a
+cache, and the region-cached driver must emit bit-identical
+programs."""
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.pipeline.driver import (
     _pig_signature,
 )
 from repro.pipeline.incremental import (
-    build_incremental_pig,
     cached_region_fdg,
     region_cache_for,
     reset_region_caches,
@@ -48,8 +48,8 @@ def _one_instruction_function():
 def _assert_equivalent(fn, machine):
     reference = build_parallel_interference_graph(fn, machine, engine="bitset")
     cache = CompileCache(capacity=256)
-    cold = build_incremental_pig(fn, machine, cache)
-    warm = build_incremental_pig(fn, machine, cache)
+    cold = build_parallel_interference_graph(fn, machine, region_cache=cache)
+    warm = build_parallel_interference_graph(fn, machine, region_cache=cache)
     assert _pig_signature(reference) == _pig_signature(cold)
     assert _pig_signature(reference) == _pig_signature(warm)
 
@@ -83,12 +83,16 @@ class TestBitIdenticalComposition:
         # changed): hits and misses mix within a single compose.
         machine = wide_issue()
         cache = CompileCache(capacity=256)
-        build_incremental_pig(diamond_chain(4, 10, seed=6), machine, cache)
+        build_parallel_interference_graph(
+            diamond_chain(4, 10, seed=6), machine, region_cache=cache
+        )
         edited = diamond_chain(4, 10, seed=7)
         reference = build_parallel_interference_graph(
             edited, machine, engine="bitset"
         )
-        mixed = build_incremental_pig(edited, machine, cache)
+        mixed = build_parallel_interference_graph(
+            edited, machine, region_cache=cache
+        )
         assert _pig_signature(reference) == _pig_signature(mixed)
 
     def test_use_regions_false_matches(self):
@@ -99,8 +103,8 @@ class TestBitIdenticalComposition:
         )
         cache = CompileCache(capacity=256)
         for _ in range(2):
-            incr = build_incremental_pig(
-                fn, machine, cache, use_regions=False
+            incr = build_parallel_interference_graph(
+                fn, machine, use_regions=False, region_cache=cache
             )
             assert _pig_signature(reference) == _pig_signature(incr)
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Benchmark region-grain incremental compilation (PR 9).
+"""Benchmark region-grain incremental compilation.
 
 Two measurement tiers, both against a region cache rooted in a
 throwaway directory:
@@ -23,10 +23,11 @@ the end-to-end guard is a regression floor (``incr`` >=
 ``E2E_INCR_OVER_COLD_MIN`` x faster than ``cold``), not the headline
 number.
 
-**Region compile path** — the subsystem this PR adds: a
-:func:`~repro.pipeline.incremental.cached_region_fdg_ir` sweep over
-every scheduling region, with the whole-function dependence graph
-prebuilt exactly as the driver shares it across phases:
+**Region compile path** — the region loop the PIG round runs,
+:func:`~repro.core.parallel_interference.region_false_graphs` with the
+region cache, over every scheduling region; the whole-function
+dependence graph and its reachability rows are prebuilt outside the
+clock:
 
 * ``kernel_cold`` / ``kernel_warm`` / ``kernel_incr`` — same three
   store states as above.
@@ -53,14 +54,16 @@ import sys
 import tempfile
 import time
 
-from repro.analysis.regions import schedule_regions
-from repro.deps.global_deps import shared_function_dependence_graph
+from repro.core.parallel_interference import region_false_graphs
+from repro.deps.global_deps import (
+    _ancestor_masks,
+    shared_function_dependence_graph,
+)
 from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
 from repro.machine.presets import wide_issue
 from repro.pipeline.driver import CompilationDriver, DriverConfig
 from repro.pipeline.incremental import (
-    cached_region_fdg_ir,
     region_cache_for,
     reset_region_caches,
 )
@@ -118,22 +121,18 @@ def timed_compile(driver, text, name):
 
 
 def timed_region_sweep(text, machine, cache):
-    """Wall time of the per-region compile path over every region.
+    """Wall time of the region loop over every region, against *cache*.
 
-    The whole-function dependence graph is built *before* the clock
-    starts: the driver pays it once per compile regardless (the
-    interference build walks the same def-use chains), so the sweep
-    isolates the marginal cost of classify-and-rebuild.
+    The whole-function dependence graph and its reachability rows are
+    built *before* the clock starts: the driver pays them once per
+    compile regardless (the interference build walks the same def-use
+    chains), so the sweep isolates the marginal cost of
+    lookup-and-rebuild.
     """
     fn = parse_function(text)
-    regions = schedule_regions(fn)
-    shared_function_dependence_graph(fn)
+    _ancestor_masks(shared_function_dependence_graph(fn))
     started = time.perf_counter()
-    for region in regions:
-        cached_region_fdg_ir(
-            fn, region, machine, cache,
-            dependence_graph=lambda: shared_function_dependence_graph(fn),
-        )
+    region_false_graphs(fn, machine, region_cache=cache)
     return time.perf_counter() - started
 
 
