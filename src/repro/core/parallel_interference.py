@@ -48,7 +48,6 @@ from repro.regalloc.interference import (
     InterferenceGraph,
     build_interference_graph,
 )
-from repro.utils import faults
 from repro.utils.bits import iter_bits
 from repro.utils.errors import AllocationError
 
@@ -269,8 +268,8 @@ def region_false_graphs(
             set-based pipeline (:mod:`repro.deps.reference`).
         region_cache: Optional region-kernel
             :class:`~repro.cache.store.CompileCache`, read and written
-            only for the bitset engine with no fault armed
-            (:mod:`repro.pipeline.incremental`).
+            only for the bitset engine
+            (:func:`repro.pipeline.incremental.cached_fdg`).
         config_fingerprint: ``DriverConfig.fingerprint()`` component
             of the region keys (``""`` outside a driver compile).
         check_deadline: Optional zero-argument callback polled between
@@ -288,19 +287,18 @@ def region_false_graphs(
             for i, name in enumerate(fn.block_names())
         ]
     if engine == "reference":
-        from repro.deps.reference import (
-            reference_false_dependence_graph as derive,
-        )
+        from repro.deps.reference import reference_false_dependence_graph
+
+        def build(sg):
+            return reference_false_dependence_graph(sg, machine)
+
+        region_cache = None  # the cache stores bitset kernel rows
     else:
-        def derive(sg, machine):
+        def build(sg):
             return false_dependence_graph(
                 sg, machine, check_deadline=check_deadline
             )
-    cache = region_cache
-    if engine != "bitset" or faults.active_specs():
-        cache = None  # no kernel rows to store, or a fault under test
-    if cache is not None:
-        from repro.pipeline import incremental
+    from repro.pipeline.incremental import cached_fdg, region_key
 
     false_graphs: List[FalseDependenceGraph] = []
     for region in regions:
@@ -324,26 +322,18 @@ def region_false_graphs(
                 fn, blocks, machine=machine, transit_pairs=transit
             )
 
-        fdg = key = None
-        if (
-            cache is not None
-            and len(instructions) >= incremental.MIN_CACHE_INSTRS
-        ):
-            key = incremental.region_key(
+        fdg = cached_fdg(
+            region_cache,
+            lambda: region_key(
                 fn, region, instructions, transit, machine,
                 config_fingerprint,
-            )
-            fdg = incremental.lookup_region(
-                cache, key, instructions, schedule_graph
-            )
-        if fdg is None:
-            fdg = derive(schedule_graph(), machine)
-            if key is not None:
-                incremental.store_region(cache, key, fdg)
+            ),
+            instructions,
+            schedule_graph,
+            build,
+        )
         fdg.region_index = region.index
         false_graphs.append(fdg)
-    if cache is not None:
-        incremental.note_compose()
     return regions, false_graphs
 
 

@@ -134,7 +134,8 @@ def _ancestor_masks(graph: nx.DiGraph):
     """Per-node reachability as big-int ancestor masks, cached on the
     graph.
 
-    One SCC condensation plus one topological pass computes, for every
+    One strongly-connected-component pass (iterative Tarjan) plus one
+    sweep of the components in topological order computes, for every
     node, the bitmask (over a private dense index) of all nodes that
     can reach it — nodes sharing an SCC reach each other.  A region's
     transit pass then reduces to ``mask & region_mask`` per member,
@@ -145,26 +146,51 @@ def _ancestor_masks(graph: nx.DiGraph):
     cached = graph.graph.get("_transit_ancestors")
     if cached is not None:
         return cached
-    index = {node: i for i, node in enumerate(graph.nodes())}
-    condensation = nx.condensation(graph)
-    scc_bits = {}
-    for comp in condensation.nodes():
-        bits = 0
-        for node in condensation.nodes[comp]["members"]:
-            bits |= 1 << index[node]
-        scc_bits[comp] = bits
-    above = {}
-    for comp in nx.topological_sort(condensation):
-        mask = 0
-        for pred in condensation.predecessors(comp):
-            mask |= above[pred] | scc_bits[pred]
-        above[comp] = mask
-    masks = {}
-    for comp in condensation.nodes():
-        bits = scc_bits[comp]
-        base = above[comp]
-        for node in condensation.nodes[comp]["members"]:
-            masks[node] = base | (bits & ~(1 << index[node]))
+    nodes = list(graph)
+    index = {node: i for i, node in enumerate(nodes)}
+    succ = [[index[w] for w in nbrs] for _, nbrs in graph.adjacency()]
+    # Tarjan emits a component after every component it reaches, so
+    # the components counted down come in topological order.
+    number, low, comp_of = {}, {}, [-1] * len(nodes)
+    comps: List[List[int]] = []
+    stack: List[int] = []
+    for root in range(len(nodes)):
+        if root in number:
+            continue
+        number[root] = low[root] = len(number)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in number:
+                    number[w] = low[w] = len(number)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp_of[w] < 0:  # on the stack
+                    low[v] = min(low[v], number[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == number[v]:
+                    comps.append([])
+                    while not comps[-1] or comps[-1][-1] != v:
+                        comp_of[stack[-1]] = len(comps) - 1
+                        comps[-1].append(stack.pop())
+    scc_bits = [sum(1 << m for m in members) for members in comps]
+    above = [0] * len(comps)
+    for comp in reversed(range(len(comps))):
+        reach = above[comp] | scc_bits[comp]
+        for m in comps[comp]:
+            for w in succ[m]:
+                if comp_of[w] != comp:
+                    above[comp_of[w]] |= reach
+    masks = {
+        node: above[comp_of[i]] | (scc_bits[comp_of[i]] & ~(1 << i))
+        for i, node in enumerate(nodes)
+    }
     cached = (index, masks)
     graph.graph["_transit_ancestors"] = cached
     return cached

@@ -9,15 +9,16 @@ the kernel a perfect cache value: under the edit-recompile loop a
 one-region edit changes one region digest, and every other region's
 kernel replays from the store instead of being rebuilt.
 
-The cache serves two consumers:
+:func:`cached_fdg` is the whole cache policy: the honesty gates, the
+size floor, the lookup, the build of a miss, the put and the counters.
+It serves two consumers:
 
 * the PIG round.  :func:`~repro.core.parallel_interference.
   region_false_graphs`, the one loop that derives E_f over regions,
-  takes the cache as an argument.  For each region of at least
-  :data:`MIN_CACHE_INSTRS` instructions it builds :func:`region_key`
-  from the IR, tries :func:`lookup_region`, and on a miss builds the
-  kernel and calls :func:`store_region`.  The Theorem-1 check reads the
-  same graphs off the final PIG, so it needs no cache of its own;
+  takes the cache as an argument and routes every region through
+  :func:`cached_fdg`, keyed by :func:`region_key` straight from the
+  IR.  The Theorem-1 check reads the same graphs off the final PIG, so
+  it needs no cache of its own;
 * the schedule phase, whose per-block graphs go through
   :func:`cached_region_fdg`.
 
@@ -40,9 +41,9 @@ Cache honesty mirrors the whole-compile tiers:
   its primary engine, and the batch/serve retry ladders disable the
   region cache outright in their degraded-rung configs.
 
-Every lookup emits ``cache.region.{hit,miss}`` and every cached region
-loop ``cache.region.compose``: trace counters, so ``repro stats``
-surfaces the hit rate of a session.
+Every lookup emits ``cache.region.hit`` or ``cache.region.miss``:
+trace counters, so ``repro stats`` surfaces the hit rate of a
+session.
 """
 
 from __future__ import annotations
@@ -250,28 +251,46 @@ def region_key(
     )
 
 
-def lookup_region(
-    cache: CompileCache,
-    key: RegionCacheKey,
+def cached_fdg(
+    cache: Optional[CompileCache],
+    key: Callable[[], RegionCacheKey],
     instructions: Sequence[Instruction],
     schedule_graph: Callable[[], ScheduleGraph],
-) -> Optional[FalseDependenceGraph]:
-    """The stored false-dependence graph for *key*, rebuilt over the
-    caller's own *instructions*, or ``None``.  Counts a hit or a miss.
+    build: Callable[[ScheduleGraph], FalseDependenceGraph],
+) -> FalseDependenceGraph:
+    """One region's (or block's) false-dependence graph, served from
+    the region cache when possible: the whole cache policy.
 
-    Malformed rows (size drift, bad hex) degrade to a miss.  The graph
-    of a hit carries *schedule_graph* as a lazy factory: nothing in the
-    splice or the coloring needs G_s (the stored value rows cover the
-    scheduling-value model), but a late consumer of
-    ``fdg.schedule_graph`` still finds the exact graph.
+    ``build(schedule_graph())`` runs without consulting or populating
+    the store when any honesty gate trips: no cache, fewer than
+    :data:`MIN_CACHE_INSTRS` instructions, or **armed faults** (an
+    injected fault must never freeze into a stored kernel, nor may a
+    replay mask the fault path under test).  Otherwise ``key()`` is
+    looked up and counted as a hit or a miss.  A hit is rebuilt over
+    the caller's own *instructions*, with *schedule_graph* as a lazy
+    factory: nothing in the splice or the coloring needs G_s (the
+    stored value rows cover the scheduling-value model), but a late
+    consumer of ``fdg.schedule_graph`` still finds the exact graph.
+    Malformed rows (size drift, bad hex) degrade to a miss, which is
+    built and stored.
     """
-    entry = cache.get(key)
+    if (
+        cache is None
+        or len(instructions) < MIN_CACHE_INSTRS
+        or faults.active_specs()
+    ):
+        return build(schedule_graph())
+    cache_key = key()
+    entry = cache.get(cache_key)
     report = entry.get("report") if entry is not None else None
     kernel = _kernel_from_report(report, list(instructions))
+    counter = "cache.region.{}".format("miss" if kernel is None else "hit")
+    get_metrics().counter(counter).inc()
+    get_tracer().counter(counter, 1)
     if kernel is None:
-        _note_region("miss")
-        return None
-    _note_region("hit")
+        fdg = build(schedule_graph())
+        cache.put(cache_key, _entry_for(fdg.kernel, fdg.schedule_graph))
+        return fdg
     return FalseDependenceGraph(
         instructions=list(instructions),
         schedule_graph_factory=schedule_graph,
@@ -280,54 +299,23 @@ def lookup_region(
     )
 
 
-def store_region(
-    cache: CompileCache, key: RegionCacheKey, fdg: FalseDependenceGraph
-) -> None:
-    """Store a freshly built bitset graph under *key*."""
-    cache.put(key, _entry_for(fdg.kernel, fdg.schedule_graph))
-
-
-def note_compose() -> None:
-    """Count one region loop that ran against the cache."""
-    _note_region("compose")
-
-
-def _note_region(what: str) -> None:
-    get_metrics().counter("cache.region.{}".format(what)).inc()
-    get_tracer().counter("cache.region.{}".format(what), 1)
-
-
 def cached_region_fdg(
     sg: ScheduleGraph,
     machine: MachineDescription,
     cache: Optional[CompileCache],
     config_fingerprint: str = "",
     check_deadline: Optional[Callable[[], None]] = None,
-    min_instrs: int = MIN_CACHE_INSTRS,
 ) -> FalseDependenceGraph:
-    """One block's (or region's) false-dependence graph, served from
-    the region cache when possible.
-
-    Falls through to a plain :func:`false_dependence_graph` build —
-    without consulting or populating the store — when any of the
-    honesty gates trips: no cache, a graph too small to be worth the
-    round-trip, or **armed faults** (an injected fault must never
-    freeze into a stored kernel, nor may a replay mask the fault path
-    under test).
-    """
-    if (
-        cache is None
-        or len(sg.instructions) < min_instrs
-        or faults.active_specs()
-    ):
-        return false_dependence_graph(
-            sg, machine, check_deadline=check_deadline
-        )
-    key = region_cache_key(sg, machine, KERNEL_ENGINE, config_fingerprint)
-    fdg = lookup_region(cache, key, sg.instructions, lambda: sg)
-    if fdg is None:
-        fdg = false_dependence_graph(
-            sg, machine, check_deadline=check_deadline
-        )
-        store_region(cache, key, fdg)
-    return fdg
+    """:func:`cached_fdg` for a schedule graph already built (the
+    schedule phase's per-block graphs), keyed on the graph itself."""
+    return cached_fdg(
+        cache,
+        lambda: region_cache_key(
+            sg, machine, KERNEL_ENGINE, config_fingerprint
+        ),
+        sg.instructions,
+        lambda: sg,
+        lambda graph: false_dependence_graph(
+            graph, machine, check_deadline=check_deadline
+        ),
+    )

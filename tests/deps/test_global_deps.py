@@ -1,8 +1,12 @@
 """Tests for whole-function dependence reachability (transit edges)."""
 
+import random
+
+import networkx as nx
 import pytest
 
 from repro.deps.global_deps import (
+    _ancestor_masks,
     function_dependence_graph,
     transit_dependence_pairs,
 )
@@ -60,6 +64,33 @@ class TestFunctionDependenceGraph:
         store = fn.block("a").instructions[1]
         load = fn.block("b").instructions[0]
         assert graph.has_edge(store, load)
+
+
+class TestAncestorMasks:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_masks_match_networkx_ancestors(self, seed):
+        """The SCC pass agrees with a BFS per node on cyclic graphs,
+        self-loops included: a node's mask holds exactly the other
+        nodes that reach it."""
+        rng = random.Random(seed)
+        graph = nx.gnp_random_graph(
+            rng.randrange(1, 40), rng.uniform(0.0, 0.12),
+            seed=seed, directed=True,
+        )
+        for node in rng.sample(list(graph), min(3, len(graph))):
+            graph.add_edge(node, node)
+        index, masks = _ancestor_masks(graph)
+        for node in graph:
+            expected = sum(
+                1 << index[other]
+                for other in nx.ancestors(graph, node)
+                if other != node
+            )
+            assert masks[node] == expected
+
+    def test_masks_cached_on_graph(self):
+        graph = function_dependence_graph(compile_source(TRANSIT_SRC))
+        assert _ancestor_masks(graph) is _ancestor_masks(graph)
 
 
 class TestTransitPairs:

@@ -26,8 +26,7 @@ number.
 **Region compile path** — the region loop the PIG round runs,
 :func:`~repro.core.parallel_interference.region_false_graphs` with the
 region cache, over every scheduling region; the whole-function
-dependence graph and its reachability rows are prebuilt outside the
-clock:
+dependence graph is prebuilt outside the clock:
 
 * ``kernel_cold`` / ``kernel_warm`` / ``kernel_incr`` — same three
   store states as above.
@@ -55,10 +54,7 @@ import tempfile
 import time
 
 from repro.core.parallel_interference import region_false_graphs
-from repro.deps.global_deps import (
-    _ancestor_masks,
-    shared_function_dependence_graph,
-)
+from repro.deps.global_deps import shared_function_dependence_graph
 from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
 from repro.machine.presets import wide_issue
@@ -123,14 +119,13 @@ def timed_compile(driver, text, name):
 def timed_region_sweep(text, machine, cache):
     """Wall time of the region loop over every region, against *cache*.
 
-    The whole-function dependence graph and its reachability rows are
-    built *before* the clock starts: the driver pays them once per
-    compile regardless (the interference build walks the same def-use
-    chains), so the sweep isolates the marginal cost of
-    lookup-and-rebuild.
+    The whole-function dependence graph is built *before* the clock
+    starts: the driver pays it once per compile regardless (the
+    interference build walks the same def-use chains), so the sweep
+    isolates the marginal cost of lookup-and-rebuild.
     """
     fn = parse_function(text)
-    _ancestor_masks(shared_function_dependence_graph(fn))
+    shared_function_dependence_graph(fn)
     started = time.perf_counter()
     region_false_graphs(fn, machine, region_cache=cache)
     return time.perf_counter() - started
